@@ -3,7 +3,9 @@
 #
 #   1. tier-1: the full unit/integration suite (tests/), including the
 #      chaos sweeps at their default 200 schedules and the crash-point
-#      sweep at every boundary; then the self-healing operator and
+#      sweep at every boundary; then the group crash sweep again under
+#      a second seed (PORTUS_CRASHPOINT_SEED=1, whose boundaries tear
+#      growing record slots); then the self-healing operator and
 #      fleet chaos smokes and `portusctl fsck` / `health` smokes —
 #      single-daemon and `--daemons 3` fleet rollup — the demo pools
 #      must verify structurally clean and classify healthy;
@@ -40,6 +42,10 @@ step() { printf '\n=== %s ===\n' "$*"; }
 
 step "tier-1 test suite"
 PYTHONPATH=src python -m pytest -x -q
+
+step "group crash sweep, second seed (torn record-slot tails)"
+PYTHONPATH=src PORTUS_CRASHPOINT_SEED=1 \
+    python -m pytest tests/faults/test_group_crash.py -x -q
 
 step "operator chaos smoke (self-healing, zero manual recovery)"
 PYTHONPATH=src PORTUS_OPS_EXAMPLES="${PORTUS_OPS_EXAMPLES:-20}" \

@@ -88,25 +88,42 @@ class CommittedRecord:
         return self.offset + index * self.slot_size
 
     def _read_slot(self, index: int) -> Optional[Tuple[bytes, int]]:
+        """The slot's ``(payload, generation)``, or None if not valid.
+
+        Only the frame is read — header first, then exactly its length —
+        so bytes past a shorter, intact frame (the tail of a longer write
+        that power loss tore) cannot poison it.
+        """
+        offset = self._slot_offset(index)
         try:
-            raw = self.allocation.read_bytes(self._slot_offset(index),
-                                             self.slot_size)
+            magic, length, _, _ = _HEADER.unpack(
+                self.allocation.read_bytes(offset, _HEADER.size))
+            if magic != _FRAME_MAGIC or length > self.max_payload():
+                return None
+            frame = self.allocation.read_bytes(offset, _HEADER.size + length)
         except ValueError:
-            # Torn content materialization — the slot is poison.
+            # Torn content materialization — the frame is poison.
             return None
         try:
-            return unpack_blob(raw)
+            return unpack_blob(frame)
         except PoolCorruption:
             return None
 
-    def read(self) -> Optional[Tuple[bytes, int]]:
-        """Newest committed ``(payload, generation)``, or None if empty."""
+    def _newest(self) -> Tuple[Optional[int], Optional[Tuple[bytes, int]]]:
+        """``(slot index, (payload, generation))`` of the newest valid
+        slot (the lower index on a generation tie), or ``(None, None)``.
+        """
+        best_index: Optional[int] = None
         best: Optional[Tuple[bytes, int]] = None
         for index in (0, 1):
             slot = self._read_slot(index)
             if slot is not None and (best is None or slot[1] > best[1]):
-                best = slot
-        return best
+                best_index, best = index, slot
+        return best_index, best
+
+    def read(self) -> Optional[Tuple[bytes, int]]:
+        """Newest committed ``(payload, generation)``, or None if empty."""
+        return self._newest()[1]
 
     def slot_states(self) -> Tuple[object, object]:
         """Per-slot health, for integrity tooling (fsck).
@@ -141,19 +158,12 @@ class CommittedRecord:
         if hook is not None:
             # Crash point: power loss before the slot write begins.
             hook("record.write", self.allocation.tag)
-        current = self.read()
+        newest_slot, current = self._newest()
         if current is None:
             generation, target = 1, 0
         else:
-            generation = current[1] + 1
             # Overwrite the slot that does NOT hold the newest value.
-            newest_slot = None
-            for index in (0, 1):
-                slot = self._read_slot(index)
-                if slot is not None and slot[1] == current[1]:
-                    newest_slot = index
-                    break
-            target = 1 - (newest_slot if newest_slot is not None else 0)
+            generation, target = current[1] + 1, 1 - newest_slot
         frame = pack_blob(payload, generation)
         slot_offset = self._slot_offset(target)
         self.allocation.write(slot_offset, ByteContent(frame))

@@ -22,12 +22,17 @@ change, the simulator's wall-clock bottleneck (see
 ``benchmarks/bench_sim_hotpath.py`` / ``BENCH_sim.json``).  The
 :class:`_FluidScheduler` here is incremental:
 
-* **Persistent registries.**  ``SharedChannel.flows`` (admission-ordered)
-  is the live per-channel flow registry; the solver reads it directly
-  instead of rebuilding a channel->flows map from the full flow list.
+* **Path classes.**  Live flows are grouped by ``(channels, rate cap)``.
+  Progressive filling treats the flows of one class identically, so the
+  solver fills over classes weighted by their flow counts — a striped
+  checkpoint's 16 WRs on one path are one unit, not 16.  Each class
+  keeps the smallest ``remaining`` of its flows, so the next completion
+  horizon is a minimum over classes, not over every live flow.
+  ``SharedChannel.flows`` stays the live per-channel flow registry (its
+  size is the channel's flow count).
 * **Dirty-channel component re-solve.**  A membership change marks only
   the touched channels dirty.  The solver re-runs progressive filling
-  over the *connected component* of channels/flows reachable from the
+  over the *connected component* of channels/classes reachable from the
   dirty set; disjoint traffic (another daemon's NIC/PMem pair, another
   rack) keeps its rates untouched.  Max-min allocations of disjoint
   components are independent, so the result is identical to the full
@@ -216,7 +221,7 @@ class SharedChannel:
         # Insertion-ordered (dict-as-set): iteration order must not depend
         # on object ids or replay determinism breaks across processes.
         # This is the scheduler's *persistent* live-flow registry: admit
-        # inserts, completion deletes, the solver iterates it directly.
+        # inserts, completion deletes, the solver reads its size.
         self.flows: Dict["Transfer", None] = {}
         # Accumulated in float: per-tick truncation used to lose up to a
         # byte per rate change (the fractional remainder of each tick).
@@ -257,8 +262,11 @@ class Transfer(Event):
     bounds this flow below the fair share (e.g. a single DMA engine).
     """
 
+    # ``_path_class`` is the incremental scheduler's class of this flow;
+    # ``_order`` is the reference scheduler's admission sequence number.
     __slots__ = ("channels", "size_bytes", "remaining", "rate_cap_bps",
-                 "label", "rate_bps", "started_at", "finished_at", "_order")
+                 "label", "rate_bps", "started_at", "finished_at",
+                 "_path_class", "_order")
 
     def __init__(self, env: Environment, channels: Sequence[SharedChannel],
                  size_bytes: int, latency_ns: int = 0,
@@ -279,7 +287,6 @@ class Transfer(Event):
         self.rate_bps = 0.0
         self.started_at = env.now
         self.finished_at: Optional[int] = None
-        self._order = 0
         scheduler = _fluid_scheduler(env)
         if latency_ns > 0:
             timer = env.timeout(latency_ns)
@@ -299,19 +306,43 @@ class Transfer(Event):
                f"{self.size_bytes}B remaining={self.remaining:.0f}>"
 
 
+class _PathClass:
+    """The live flows that share one path and one rate cap.
+
+    Progressive filling treats such flows identically — they cross the
+    same channels and bind at the same cap — so they always freeze in the
+    same round at the same rate.  The solver handles each class as one
+    unit weighted by its flow count.
+    """
+
+    __slots__ = ("channels", "rate_cap_bps", "flows", "rate_bps",
+                 "min_remaining")
+
+    def __init__(self, channels: tuple,
+                 rate_cap_bps: Optional[float]) -> None:
+        self.channels = channels
+        self.rate_cap_bps = rate_cap_bps
+        # Insertion-ordered for reproducible iteration; membership only.
+        self.flows: Dict[Transfer, None] = {}
+        self.rate_bps = 0.0
+        # Smallest ``remaining`` among ``flows``: the class's next finisher.
+        self.min_remaining = math.inf
+
+
 class _FluidScheduler:
     """Per-environment coordinator implementing incremental progressive
-    filling (see the module docstring for the three mechanisms)."""
+    filling over path classes (see the module docstring)."""
 
     __slots__ = ("env", "active", "_last_update", "_wakeup_gen", "_dirty",
-                 "_flush_pending", "_order", "stats")
+                 "_flush_pending", "_classes", "_channel_classes", "stats")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
         # Dict-as-ordered-set: with equal-rate flows (a striped stripe set)
         # several transfers finish in the same tick, and the order their
-        # completions fire — and the float order rates are subtracted in —
-        # must follow admission order, not id()-dependent set order.
+        # completions fire — and the float order each channel accumulates
+        # carried bytes in — must follow admission order, not id()-
+        # dependent set order.
         self.active: Dict[Transfer, None] = {}
         self._last_update = env.now
         self._wakeup_gen = 0
@@ -320,7 +351,11 @@ class _FluidScheduler:
         # the component walk, not for the resulting rates).
         self._dirty: Dict[SharedChannel, None] = {}
         self._flush_pending = False
-        self._order = 0
+        # Live path classes by (channels, rate cap), and each channel's
+        # classes; a class leaves both when its last flow finishes.
+        self._classes: Dict[tuple, _PathClass] = {}
+        self._channel_classes: Dict[SharedChannel,
+                                    Dict[_PathClass, None]] = {}
         self.stats = {"solves": 0, "flows_solved": 0, "channels_solved": 0,
                       "flushes": 0, "wakeups": 0}
 
@@ -336,9 +371,18 @@ class _FluidScheduler:
         # the eager scheduler completed it in, to keep event order
         # bit-identical.
         self._advance()
-        self._order += 1
-        transfer._order = self._order
         self.active[transfer] = None
+        key = (tuple(transfer.channels), transfer.rate_cap_bps)
+        path_class = self._classes.get(key)
+        if path_class is None:
+            path_class = self._classes[key] = _PathClass(*key)
+            channel_classes = self._channel_classes
+            for channel in path_class.channels:
+                channel_classes.setdefault(channel, {})[path_class] = None
+        path_class.flows[transfer] = None
+        if transfer.remaining < path_class.min_remaining:
+            path_class.min_remaining = transfer.remaining
+        transfer._path_class = path_class
         dirty = self._dirty
         for channel in transfer.channels:
             channel.flows[transfer] = None
@@ -375,28 +419,57 @@ class _FluidScheduler:
         for flow in self.active:
             moved = flow.rate_bps * elapsed / SECOND
             before = flow.remaining
-            flow.remaining = before - moved
-            if flow.remaining <= _EPSILON_BYTES:
+            remaining = before - moved
+            if remaining <= _EPSILON_BYTES:
                 # Final tick: the ceil'd horizon overshoots by < 1 ns of
                 # rate; the channel carried only the bytes that existed.
-                flow.remaining = 0.0
+                remaining = 0.0
                 if moved > before:
                     moved = before
                 if finished is None:
                     finished = []
                 finished.append(flow)
+            flow.remaining = remaining
             for channel in flow.channels:
                 channel._bytes_carried += moved
+        shrunk: Dict[_PathClass, None] = {}
         if finished:
             active = self.active
             dirty = self._dirty
             for flow in finished:
                 del active[flow]
+                path_class = flow._path_class
+                del path_class.flows[flow]
+                shrunk[path_class] = None
                 for channel in flow.channels:
                     del channel.flows[flow]
                     dirty[channel] = None
                 flow.finished_at = now
                 flow.succeed(flow)
+        # Every flow of a class moved by the same float (a newly admitted
+        # flow gets its class's rate from the same-tick flush, before any
+        # time passes), and subtraction is monotone, so the class minimum
+        # moves by that float too.  A class that lost flows rescans.
+        for path_class in self._classes.values():
+            if path_class in shrunk:
+                if path_class.flows:
+                    path_class.min_remaining = min(
+                        flow.remaining for flow in path_class.flows)
+            else:
+                path_class.min_remaining -= (
+                    path_class.rate_bps * elapsed / SECOND)
+        for path_class in shrunk:
+            if not path_class.flows:
+                self._drop_class(path_class)
+
+    def _drop_class(self, path_class: _PathClass) -> None:
+        del self._classes[path_class.channels, path_class.rate_cap_bps]
+        channel_classes = self._channel_classes
+        for channel in path_class.channels:
+            classes = channel_classes[channel]
+            del classes[path_class]
+            if not classes:
+                del channel_classes[channel]
 
     def _reallocate(self) -> None:
         """Re-solve the dirty component(s) and schedule the next completion."""
@@ -404,10 +477,12 @@ class _FluidScheduler:
         self._wakeup_gen += 1
         if not self.active:
             return
-        horizon = min(
-            math.ceil(flow.remaining * SECOND / flow.rate_bps)
-            for flow in self.active)
-        horizon = max(1, horizon)
+        # Multiplication, division and ceil are monotone, so the soonest
+        # finisher holds its class's smallest remaining, and the ceil of
+        # the minimum is the minimum of the ceils: O(classes), not O(flows).
+        horizon = max(1, math.ceil(min(
+            path_class.min_remaining * SECOND / path_class.rate_bps
+            for path_class in self._classes.values())))
         gen = self._wakeup_gen
         timer = self.env.timeout(horizon)
 
@@ -429,113 +504,100 @@ class _FluidScheduler:
         self._dirty = {}
         if not self.active:
             return
-        # Walk channel<->flow adjacency from the dirty channels.  Sets are
-        # used for membership only; final orders come from admission
-        # sequence numbers, so the walk itself need not be ordered.
-        flows: List[Transfer] = []
-        seen_flows: Set[Transfer] = set()
-        stack: List[SharedChannel] = [ch for ch in dirty if ch.flows]
-        seen_channels: Set[SharedChannel] = set(stack)
+        # Walk channel<->class adjacency from the dirty channels.  The
+        # filling below is order-independent; ordered dicts just keep the
+        # walk reproducible.
+        channel_classes = self._channel_classes
+        classes: Dict[_PathClass, None] = {}
+        stack: List[SharedChannel] = [
+            ch for ch in dirty if ch in channel_classes]
+        seen: Dict[SharedChannel, None] = dict.fromkeys(stack)
         while stack:
-            channel = stack.pop()
-            for flow in channel.flows:
-                if flow not in seen_flows:
-                    seen_flows.add(flow)
-                    flows.append(flow)
-                    for other in flow.channels:
-                        if other not in seen_channels:
-                            seen_channels.add(other)
+            for path_class in channel_classes[stack.pop()]:
+                if path_class not in classes:
+                    classes[path_class] = None
+                    for other in path_class.channels:
+                        if other not in seen:
+                            seen[other] = None
                             stack.append(other)
-        if not flows:
+        if not classes:
             return
-        # Admission order — the order float rates are subtracted in, and
-        # therefore load-bearing for bit-identical replays.
-        flows.sort(key=_admission_order)
-        channels: List[SharedChannel] = []
-        first_seen: Set[SharedChannel] = set()
-        for flow in flows:
-            for channel in flow.channels:
-                if channel not in first_seen:
-                    first_seen.add(channel)
-                    channels.append(channel)
         self.stats["solves"] += 1
-        self.stats["flows_solved"] += len(flows)
-        self.stats["channels_solved"] += len(channels)
-        self._solve_component(channels, flows)
+        self.stats["flows_solved"] += sum(
+            len(path_class.flows) for path_class in classes)
+        self.stats["channels_solved"] += len(seen)
+        self._solve_component(seen, classes)
 
-    def _solve_component(self, channels: List[SharedChannel],
-                         flows: List[Transfer]) -> None:
+    def _solve_component(self, channels: Dict[SharedChannel, None],
+                         classes: Dict[_PathClass, None]) -> None:
         """Max-min progressive filling over one connected component.
 
-        Float-for-float the same operation sequence as the reference
-        solver restricted to this component: per-channel shares from live
-        counts, freeze at the bottleneck level, subtract frozen rates in
-        admission order.
+        Bit-identical to the reference solver's flow-by-flow loop: every
+        flow frozen in one round gets the same rate ``max(level, 1e-9)``,
+        so a channel carrying ``n`` of them takes exactly ``n`` repeated
+        ``c = max(c - r, 0.0)`` steps whatever the flow order.  The steps
+        are skipped on a channel left with no unfrozen flow, whose
+        capacity is never read again.
         """
+        channel_classes = self._channel_classes
         remaining_cap: Dict[SharedChannel, float] = {}
         live_count: Dict[SharedChannel, int] = {}
         for channel in channels:
             count = len(channel.flows)
             remaining_cap[channel] = channel.capacity_for(count)
             live_count[channel] = count
-        unfrozen: Dict[Transfer, None] = dict.fromkeys(flows)
-        capped_any = False
-        for flow in flows:
-            flow.rate_bps = 0.0
-            if flow.rate_cap_bps is not None:
-                capped_any = True
+        unfrozen = dict(classes)
+        capped = [c for c in classes if c.rate_cap_bps is not None]
 
         while unfrozen:
             # The next bottleneck is the smallest equal share on offer,
             # considering both channel shares and per-flow caps.
             share = math.inf
-            for channel in channels:
-                count = live_count[channel]
+            for channel, count in live_count.items():
                 if count:
                     offered = remaining_cap[channel] / count
                     if offered < share:
                         share = offered
-            if capped_any:
-                capped = [f for f in unfrozen if f.rate_cap_bps is not None]
-                cap_limit = min((f.rate_cap_bps for f in capped),
-                                default=math.inf)
-            else:
-                capped = []
-                cap_limit = math.inf
+            cap_limit = math.inf
+            if capped:
+                capped = [c for c in capped if c in unfrozen]
+                for path_class in capped:
+                    if path_class.rate_cap_bps < cap_limit:
+                        cap_limit = path_class.rate_cap_bps
             if cap_limit < share:
-                # Freeze every flow whose own cap binds first.
+                # Freeze every class whose own cap binds first.
                 level = cap_limit
-                frozen = dict.fromkeys(
-                    f for f in capped if f.rate_cap_bps <= level)
+                frozen = [c for c in capped if c.rate_cap_bps <= level]
             else:
                 level = share
                 frozen = {}
-                for channel in channels:
-                    count = live_count[channel]
+                for channel, count in live_count.items():
                     if count and \
                             remaining_cap[channel] / count <= level + 1e-9:
-                        for flow in channel.flows:
-                            if flow in unfrozen:
-                                frozen[flow] = None
-            if not frozen or level is math.inf:
-                # No binding constraint (should not happen: every flow
-                # crosses at least one channel), freeze everything at share.
-                frozen = dict.fromkeys(unfrozen)
-                level = share
-            for flow in frozen:
-                rate = level if flow.rate_cap_bps is None else min(
-                    level, flow.rate_cap_bps)
-                flow.rate_bps = max(rate, 1e-9)
-                for channel in flow.channels:
-                    remaining_cap[channel] -= flow.rate_bps
-                    remaining_cap[channel] = max(remaining_cap[channel], 0.0)
-                    live_count[channel] -= 1
-            for flow in frozen:
-                unfrozen.pop(flow, None)
-
-
-def _admission_order(flow: Transfer) -> int:
-    return flow._order
+                        for path_class in channel_classes[channel]:
+                            if path_class in unfrozen:
+                                frozen[path_class] = None
+            rate = max(level, 1e-9)
+            steps: Dict[SharedChannel, int] = {}
+            for path_class in frozen:
+                del unfrozen[path_class]
+                path_class.rate_bps = rate
+                for flow in path_class.flows:
+                    flow.rate_bps = rate
+                n = len(path_class.flows)
+                for channel in path_class.channels:
+                    live_count[channel] -= n
+                    steps[channel] = steps.get(channel, 0) + n
+            for channel, n in steps.items():
+                if live_count[channel]:
+                    cap = remaining_cap[channel]
+                    for _ in range(n):
+                        # max(cap - rate, 0.0), and 0.0 is a fixed point.
+                        cap -= rate
+                        if cap < 0.0:
+                            cap = 0.0
+                            break
+                    remaining_cap[channel] = cap
 
 
 class _ReferenceFluidScheduler:

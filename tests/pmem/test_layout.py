@@ -117,6 +117,26 @@ def test_committed_record_payload_too_large():
         record.write(b"x" * 64)
 
 
+def test_committed_record_short_frame_over_torn_tail_reads_back():
+    """Power loss tears a long frame; the next, shorter frame persisted
+    over its head must read back although the torn bytes past it stay."""
+    allocation = make_allocation()
+    record = CommittedRecord(allocation, 0, slot_size=256)
+    record.write(b"stable")  # generation 1 in slot 0
+    allocation.write(record._slot_offset(1),
+                     ByteContent(pack_blob(b"x" * 200, generation=2)))
+    rng = random.Random(0)
+    rng.choice = lambda options: "torn"
+    allocation.crash(rng)
+    assert record.slot_states() == (("valid", 1), "torn")
+    assert record.read() == (b"stable", 1)
+    assert record.write(b"short") == 2  # lands in the torn slot 1
+    assert record.read() == (b"short", 2)
+    assert record.slot_states() == (("valid", 1), ("valid", 2))
+    assert record.write(b"next") == 3  # so slot 0 is the stale one
+    assert record.read() == (b"next", 3)
+
+
 def test_committed_record_survives_any_crash(seed=None):
     """A crash during the Nth write must leave version N or N-1 readable."""
     for master_seed in range(20):

@@ -7,7 +7,9 @@ solver: same rates after every membership change, same completion event
 stream, same per-channel byte accounting.  This suite drives randomized
 flow churn — staggered admits, striped same-tick stripe sets, natural
 finishes, per-flow rate caps, congestion-threshold crossings, disjoint
-components — through both schedulers and asserts bit-identical results.
+components, 8- and 16-stripe fan-ins whose stripes mix capped and
+uncapped flows on one path, slow links that force multi-round filling —
+through both schedulers and asserts bit-identical results.
 
 ``PORTUS_FLUID_EXAMPLES`` scales the schedule count (default 200, the
 acceptance bar for this suite).
@@ -46,24 +48,38 @@ def _random_schedule(rng):
     for c in range(rng.randint(2, 6)):
         ops = []
         for _ in range(rng.randint(1, 4)):
-            stripes = rng.choice([1, 1, 2, 4])
+            # 8- and 16-stripe fan-ins put many same-path flows in flight;
+            # a 3-way split makes per-flow shares inexact floats, so the
+            # order and count of capacity subtractions show in the bits.
+            stripes = rng.choice([1, 1, 2, 3, 4, 8, 16])
             size = rng.randint(1, 400) * MB + rng.randint(0, 999)
             if rng.random() < 0.05:
                 size = 0
+            cap = (rng.choice(CAPACITY_GRID) * 10 * MB
+                   if rng.random() < 0.3 else None)
+            caps = [cap] * stripes
+            if stripes > 1 and rng.random() < 0.3:
+                # Capped and uncapped stripes on one path: the path splits
+                # into several (path, cap) classes.
+                other = rng.choice(CAPACITY_GRID) * 10 * MB
+                caps = [rng.choice([None, cap, other])
+                        for _ in range(stripes)]
             ops.append({
                 "delay": rng.randint(0, 40) * 1_000_000 + rng.randint(0, 99),
                 "size": size,
                 "stripes": stripes,
-                "cap": (rng.choice(CAPACITY_GRID) * 10 * MB
-                        if rng.random() < 0.3 else None),
+                "caps": caps,
                 "latency": rng.choice([0, 0, 1000, 12_345]),
                 # local=True keeps the flow off the shared group channels,
                 # creating a disjoint component.
                 "local": rng.random() < 0.25,
             })
+        # A slow link bottlenecks its client below the shared NIC/PMem
+        # share, so filling takes several rounds.
+        link_unit = 20 * MB if rng.random() < 0.3 else 200 * MB
         clients.append({
             "group": rng.randrange(len(groups)),
-            "link_cap": rng.choice(CAPACITY_GRID) * 200 * MB,
+            "link_cap": rng.choice(CAPACITY_GRID) * link_unit,
             "ops": ops,
         })
     return {"groups": groups, "clients": clients,
@@ -99,7 +115,7 @@ def _run(schedule, reference):
                 size = op["size"] // op["stripes"]
                 transfer = Transfer(env, path, size,
                                     latency_ns=op["latency"],
-                                    rate_cap_bps=op["cap"], label=label)
+                                    rate_cap_bps=op["caps"][s], label=label)
                 live[label] = transfer
                 transfer.callbacks.append(_completed)
                 stripes.append(transfer)
