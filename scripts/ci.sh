@@ -5,7 +5,9 @@
 #      chaos sweeps at their default 200 schedules and the crash-point
 #      sweep at every boundary; then the group crash sweep again under
 #      a second seed (PORTUS_CRASHPOINT_SEED=1, whose boundaries tear
-#      growing record slots); then the self-healing operator and
+#      growing record slots); then the fluid differential suite at 2000
+#      schedules (deeper coverage of the memoized component solves);
+#      then the self-healing operator and
 #      fleet chaos smokes and `portusctl fsck` / `health` smokes —
 #      single-daemon and `--daemons 3` fleet rollup — the demo pools
 #      must verify structurally clean and classify healthy;
@@ -46,6 +48,10 @@ PYTHONPATH=src python -m pytest -x -q
 step "group crash sweep, second seed (torn record-slot tails)"
 PYTHONPATH=src PORTUS_CRASHPOINT_SEED=1 \
     python -m pytest tests/faults/test_group_crash.py -x -q
+
+step "fluid differential suite, 2000 schedules (incremental vs reference)"
+PYTHONPATH=src PORTUS_FLUID_EXAMPLES=2000 \
+    python -m pytest tests/sim/test_fluid_incremental.py -x -q
 
 step "operator chaos smoke (self-healing, zero manual recovery)"
 PYTHONPATH=src PORTUS_OPS_EXAMPLES="${PORTUS_OPS_EXAMPLES:-20}" \

@@ -309,7 +309,9 @@ class SegmentBuffer:
 
     This is the storage representation used by every device and by the
     PMem pool: writes replace sub-ranges, reads return the covering content
-    (simplified).  All operations are O(#segments touched).
+    (simplified).  ``read`` scans every segment and ``write`` rebuilds and
+    re-sorts the whole list, so both cost O(#segments) per call, not
+    O(#segments touched).
     """
 
     def __init__(self, size: int, fill: Optional[Content] = None) -> None:

@@ -30,6 +30,14 @@ change, the simulator's wall-clock bottleneck (see
   horizon is a minimum over classes, not over every live flow.
   ``SharedChannel.flows`` stays the live per-channel flow registry (its
   size is the channel's flow count).
+* **Per-class progress.**  An advance computes one ``moved`` per class
+  and subtracts it from each of the class's flows and from the class
+  minimum (the same float operation applied per flow), and collects
+  finishers only from classes whose minimum reached zero; they retire in
+  admission order (``Transfer._order``).
+* **Read-through rates.**  A live flow's ``rate_bps`` reads its class's
+  rate, so a solve sets one rate per class, never one per flow.  A
+  finishing flow stores its final rate and leaves its class.
 * **Dirty-channel component re-solve.**  A membership change marks only
   the touched channels dirty.  The solver re-runs progressive filling
   over the *connected component* of channels/classes reachable from the
@@ -37,15 +45,27 @@ change, the simulator's wall-clock bottleneck (see
   rack) keeps its rates untouched.  Max-min allocations of disjoint
   components are independent, so the result is identical to the full
   recompute.
+* **Memoized component solves.**  The walked component is closed under
+  channel adjacency, so every flow on its channels belongs to its
+  classes, and channel capacities are fixed at construction.  The class
+  rates are therefore a pure function of the multiset
+  ``{(path, cap): flow count}``; a bounded LRU keyed by it answers
+  repeats without re-running the filling.
 * **Same-tick coalescing.**  Admissions mark dirty state and schedule one
   *urgent flush* event at the current timestamp; a striped stripe set of
   N same-tick transfers triggers one solve, not N.  Progress accounting
   (:meth:`_advance`) still happens eagerly at each admission so
   completion ordering is bit-identical to the eager scheduler.
 
-The seed's full-recompute solver is retained as
+Carried bytes are exact: a finishing flow adds its integer size to every
+channel on its path, and ``bytes_carried`` adds the progress of the live
+flows, so no per-tick float sum is kept.
+
+The seed's full-recompute solver is kept as
 :class:`_ReferenceFluidScheduler` (install with
-:func:`use_reference_scheduler`): the differential property suite
+:func:`use_reference_scheduler`), with its rate, progress and completion
+logic unchanged and its byte accounting moved to completion like the
+incremental scheduler's.  The differential property suite
 (``tests/sim/test_fluid_incremental.py``) holds the two bit-identical
 under randomized churn, and the hot-path benchmark records the speedup
 trajectory against it.
@@ -55,6 +75,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from operator import attrgetter
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
@@ -62,6 +83,9 @@ from repro.units import SECOND
 from repro.sim.core import (Environment, Event, PRIORITY_URGENT)
 
 _EPSILON_BYTES = 1e-6
+
+#: Entries in each incremental scheduler's LRU of component solves.
+_SOLVE_MEMO_SIZE = 64
 
 
 class Request(Event):
@@ -223,15 +247,16 @@ class SharedChannel:
         # This is the scheduler's *persistent* live-flow registry: admit
         # inserts, completion deletes, the solver reads its size.
         self.flows: Dict["Transfer", None] = {}
-        # Accumulated in float: per-tick truncation used to lose up to a
-        # byte per rate change (the fractional remainder of each tick).
-        self._bytes_carried = 0.0
+        # Sizes of the finished flows that crossed this channel: an exact
+        # integer, added once per flow when it completes.
+        self._bytes_carried = 0
 
     @property
     def bytes_carried(self) -> int:
-        """Total bytes this channel has carried (rounded; exact in float
-        internally so many small ticks cannot under-count)."""
-        return int(round(self._bytes_carried))
+        """Bytes this channel has carried: every finished flow's size plus
+        the progress of its live flows as of the last advance (rounded)."""
+        live = sum(flow.size_bytes - flow.remaining for flow in self.flows)
+        return self._bytes_carried + round(live)
 
     def capacity_for(self, flow_count: int) -> float:
         """Aggregate capacity offered to *flow_count* concurrent flows."""
@@ -262,10 +287,11 @@ class Transfer(Event):
     bounds this flow below the fair share (e.g. a single DMA engine).
     """
 
-    # ``_path_class`` is the incremental scheduler's class of this flow;
-    # ``_order`` is the reference scheduler's admission sequence number.
+    # ``_path_class`` is the incremental scheduler's class of this flow
+    # while it is live (``None`` otherwise); ``_order`` is the admission
+    # sequence number both schedulers assign.
     __slots__ = ("channels", "size_bytes", "remaining", "rate_cap_bps",
-                 "label", "rate_bps", "started_at", "finished_at",
+                 "label", "_rate_bps", "started_at", "finished_at",
                  "_path_class", "_order")
 
     def __init__(self, env: Environment, channels: Sequence[SharedChannel],
@@ -284,7 +310,8 @@ class Transfer(Event):
         self.remaining = float(size_bytes)
         self.rate_cap_bps = rate_cap_bps
         self.label = label
-        self.rate_bps = 0.0
+        self._rate_bps = 0.0
+        self._path_class: Optional[_PathClass] = None
         self.started_at = env.now
         self.finished_at: Optional[int] = None
         scheduler = _fluid_scheduler(env)
@@ -293,6 +320,20 @@ class Transfer(Event):
             timer._callbacks = [lambda _ev: scheduler.admit(self)]
         else:
             scheduler.admit(self)
+
+    @property
+    def rate_bps(self) -> float:
+        """Current rate in bytes/s.  A flow live on the incremental
+        scheduler reads its path class's rate; otherwise the stored one
+        (its final rate once finished)."""
+        path_class = self._path_class
+        if path_class is None:
+            return self._rate_bps
+        return path_class.rate_bps
+
+    @rate_bps.setter
+    def rate_bps(self, value: float) -> None:
+        self._rate_bps = value
 
     @property
     def elapsed_ns(self) -> int:
@@ -312,14 +353,16 @@ class _PathClass:
     Progressive filling treats such flows identically — they cross the
     same channels and bind at the same cap — so they always freeze in the
     same round at the same rate.  The solver handles each class as one
-    unit weighted by its flow count.
+    unit weighted by its flow count, and its flows read their rate from
+    the class.
     """
 
-    __slots__ = ("channels", "rate_cap_bps", "flows", "rate_bps",
+    __slots__ = ("key", "channels", "rate_cap_bps", "flows", "rate_bps",
                  "min_remaining")
 
     def __init__(self, channels: tuple,
                  rate_cap_bps: Optional[float]) -> None:
+        self.key = (channels, rate_cap_bps)
         self.channels = channels
         self.rate_cap_bps = rate_cap_bps
         # Insertion-ordered for reproducible iteration; membership only.
@@ -333,17 +376,16 @@ class _FluidScheduler:
     """Per-environment coordinator implementing incremental progressive
     filling over path classes (see the module docstring)."""
 
-    __slots__ = ("env", "active", "_last_update", "_wakeup_gen", "_dirty",
-                 "_flush_pending", "_classes", "_channel_classes", "stats")
+    __slots__ = ("env", "_order", "_last_update", "_wakeup_gen", "_dirty",
+                 "_flush_pending", "_classes", "_channel_classes", "_memo",
+                 "stats")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        # Dict-as-ordered-set: with equal-rate flows (a striped stripe set)
-        # several transfers finish in the same tick, and the order their
-        # completions fire — and the float order each channel accumulates
-        # carried bytes in — must follow admission order, not id()-
-        # dependent set order.
-        self.active: Dict[Transfer, None] = {}
+        # Admission sequence number: with equal-rate flows (a striped
+        # stripe set) several transfers finish in the same tick, and their
+        # completions must fire in admission order.
+        self._order = 0
         self._last_update = env.now
         self._wakeup_gen = 0
         # Channels whose membership changed since the last solve, in
@@ -356,6 +398,9 @@ class _FluidScheduler:
         self._classes: Dict[tuple, _PathClass] = {}
         self._channel_classes: Dict[SharedChannel,
                                     Dict[_PathClass, None]] = {}
+        # LRU of solved components: frozenset of (class key, flow count)
+        # -> {class key: rate}, least recently used first.
+        self._memo: Dict[frozenset, Dict[tuple, float]] = {}
         self.stats = {"solves": 0, "flows_solved": 0, "channels_solved": 0,
                       "flushes": 0, "wakeups": 0}
 
@@ -371,7 +416,8 @@ class _FluidScheduler:
         # the eager scheduler completed it in, to keep event order
         # bit-identical.
         self._advance()
-        self.active[transfer] = None
+        self._order += 1
+        transfer._order = self._order
         key = (tuple(transfer.channels), transfer.rate_cap_bps)
         path_class = self._classes.get(key)
         if path_class is None:
@@ -409,61 +455,57 @@ class _FluidScheduler:
         self._reallocate()
 
     def _advance(self) -> None:
-        """Account progress since the last rate change, retire finished flows."""
+        """Account progress since the last rate change, retire finished
+        flows.  O(classes) float work: one ``moved`` per class."""
         now = self.env.now
         elapsed = now - self._last_update
         self._last_update = now
-        if elapsed <= 0 or not self.active:
+        if elapsed <= 0 or not self._classes:
             return
         finished: Optional[List[Transfer]] = None
-        for flow in self.active:
-            moved = flow.rate_bps * elapsed / SECOND
-            before = flow.remaining
-            remaining = before - moved
-            if remaining <= _EPSILON_BYTES:
-                # Final tick: the ceil'd horizon overshoots by < 1 ns of
-                # rate; the channel carried only the bytes that existed.
-                remaining = 0.0
-                if moved > before:
-                    moved = before
+        for path_class in self._classes.values():
+            # Every flow of a class has the class's rate, so all move by
+            # the same float; subtraction is monotone, so the class
+            # minimum moves by it too and is <= epsilon exactly when some
+            # flow of the class is.
+            moved = path_class.rate_bps * elapsed / SECOND
+            for flow in path_class.flows:
+                flow.remaining -= moved
+            path_class.min_remaining -= moved
+            if path_class.min_remaining <= _EPSILON_BYTES:
                 if finished is None:
                     finished = []
-                finished.append(flow)
-            flow.remaining = remaining
-            for channel in flow.channels:
-                channel._bytes_carried += moved
+                finished.extend(flow for flow in path_class.flows
+                                if flow.remaining <= _EPSILON_BYTES)
+        if finished is None:
+            return
+        finished.sort(key=attrgetter("_order"))
+        dirty = self._dirty
         shrunk: Dict[_PathClass, None] = {}
-        if finished:
-            active = self.active
-            dirty = self._dirty
-            for flow in finished:
-                del active[flow]
-                path_class = flow._path_class
-                del path_class.flows[flow]
-                shrunk[path_class] = None
-                for channel in flow.channels:
-                    del channel.flows[flow]
-                    dirty[channel] = None
-                flow.finished_at = now
-                flow.succeed(flow)
-        # Every flow of a class moved by the same float (a newly admitted
-        # flow gets its class's rate from the same-tick flush, before any
-        # time passes), and subtraction is monotone, so the class minimum
-        # moves by that float too.  A class that lost flows rescans.
-        for path_class in self._classes.values():
-            if path_class in shrunk:
-                if path_class.flows:
-                    path_class.min_remaining = min(
-                        flow.remaining for flow in path_class.flows)
-            else:
-                path_class.min_remaining -= (
-                    path_class.rate_bps * elapsed / SECOND)
+        for flow in finished:
+            path_class = flow._path_class
+            del path_class.flows[flow]
+            shrunk[path_class] = None
+            flow.remaining = 0.0
+            flow._rate_bps = path_class.rate_bps
+            flow._path_class = None
+            size = flow.size_bytes
+            for channel in flow.channels:
+                del channel.flows[flow]
+                channel._bytes_carried += size
+                dirty[channel] = None
+            flow.finished_at = now
+            flow.succeed(flow)
+        # A class that lost flows rescans for its new minimum.
         for path_class in shrunk:
-            if not path_class.flows:
+            if path_class.flows:
+                path_class.min_remaining = min(
+                    flow.remaining for flow in path_class.flows)
+            else:
                 self._drop_class(path_class)
 
     def _drop_class(self, path_class: _PathClass) -> None:
-        del self._classes[path_class.channels, path_class.rate_cap_bps]
+        del self._classes[path_class.key]
         channel_classes = self._channel_classes
         for channel in path_class.channels:
             classes = channel_classes[channel]
@@ -475,7 +517,7 @@ class _FluidScheduler:
         """Re-solve the dirty component(s) and schedule the next completion."""
         self._solve_dirty()
         self._wakeup_gen += 1
-        if not self.active:
+        if not self._classes:
             return
         # Multiplication, division and ceil are monotone, so the soonest
         # finisher holds its class's smallest remaining, and the ceil of
@@ -502,7 +544,7 @@ class _FluidScheduler:
         if not dirty:
             return
         self._dirty = {}
-        if not self.active:
+        if not self._classes:
             return
         # Walk channel<->class adjacency from the dirty channels.  The
         # filling below is order-independent; ordered dicts just keep the
@@ -526,7 +568,24 @@ class _FluidScheduler:
         self.stats["flows_solved"] += sum(
             len(path_class.flows) for path_class in classes)
         self.stats["channels_solved"] += len(seen)
-        self._solve_component(seen, classes)
+        # The walk is closed under adjacency, so every flow on these
+        # channels is in these classes, and channel capacities never
+        # change after construction: the rates are a pure function of the
+        # multiset {class key: flow count}.
+        signature = frozenset([(path_class.key, len(path_class.flows))
+                               for path_class in classes])
+        memo = self._memo
+        rates = memo.pop(signature, None)
+        if rates is None:
+            self._solve_component(seen, classes)
+            rates = {path_class.key: path_class.rate_bps
+                     for path_class in classes}
+            if len(memo) >= _SOLVE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        else:
+            for path_class in classes:
+                path_class.rate_bps = rates[path_class.key]
+        memo[signature] = rates
 
     def _solve_component(self, channels: Dict[SharedChannel, None],
                          classes: Dict[_PathClass, None]) -> None:
@@ -537,7 +596,8 @@ class _FluidScheduler:
         so a channel carrying ``n`` of them takes exactly ``n`` repeated
         ``c = max(c - r, 0.0)`` steps whatever the flow order.  The steps
         are skipped on a channel left with no unfrozen flow, whose
-        capacity is never read again.
+        capacity is never read again.  Sets class rates only; flows read
+        theirs through :attr:`Transfer.rate_bps`.
         """
         channel_classes = self._channel_classes
         remaining_cap: Dict[SharedChannel, float] = {}
@@ -582,8 +642,6 @@ class _FluidScheduler:
             for path_class in frozen:
                 del unfrozen[path_class]
                 path_class.rate_bps = rate
-                for flow in path_class.flows:
-                    flow.rate_bps = rate
                 n = len(path_class.flows)
                 for channel in path_class.channels:
                     live_count[channel] -= n
@@ -601,7 +659,11 @@ class _FluidScheduler:
 
 
 class _ReferenceFluidScheduler:
-    """The seed's eager full-recompute scheduler, retained verbatim.
+    """The seed's eager full-recompute scheduler.
+
+    Its rate, progress and completion logic is the seed's; only the byte
+    accounting moved from every advance to completion, as in
+    :class:`_FluidScheduler`.
 
     Every admit/finish re-runs progressive filling over *all* channels
     and flows.  It exists as the ground truth for the differential
@@ -649,15 +711,12 @@ class _ReferenceFluidScheduler:
             flow.remaining = before - moved
             if flow.remaining <= _EPSILON_BYTES:
                 flow.remaining = 0.0
-                if moved > before:
-                    moved = before
                 finished.append(flow)
-            for channel in flow.channels:
-                channel._bytes_carried += moved
         for flow in finished:
             self.active.pop(flow, None)
             for channel in flow.channels:
                 channel.flows.pop(flow, None)
+                channel._bytes_carried += flow.size_bytes
             flow.finished_at = now
             flow.succeed(flow)
 

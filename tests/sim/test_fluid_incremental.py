@@ -4,7 +4,8 @@ The incremental scheduler (dirty-channel component re-solve + same-tick
 coalescing, ``repro.sim.resources._FluidScheduler``) must be
 *observationally identical* to the retained full-recompute reference
 solver: same rates after every membership change, same completion event
-stream, same per-channel byte accounting.  This suite drives randomized
+stream, same per-channel byte accounting (mid-flight and at the end).
+This suite drives randomized
 flow churn — staggered admits, striped same-tick stripe sets, natural
 finishes, per-flow rate caps, congestion-threshold crossings, disjoint
 components, 8- and 16-stripe fan-ins whose stripes mix capped and
@@ -20,7 +21,8 @@ import random
 
 from repro.errors import ProcessInterrupted
 from repro.sim import Environment, SharedChannel, Transfer
-from repro.sim.resources import scheduler_stats, use_reference_scheduler
+from repro.sim.resources import (_FluidScheduler, scheduler_stats,
+                                 use_reference_scheduler)
 
 N_SCHEDULES = int(os.environ.get("PORTUS_FLUID_EXAMPLES", "200"))
 
@@ -134,7 +136,9 @@ def _run(schedule, reference):
                 if live:
                     probes.append((env.now, sorted(
                         (label, t.rate_bps, t.remaining)
-                        for label, t in live.items())))
+                        for label, t in live.items()), {
+                        ch.name: ch.bytes_carried
+                        for pair in shared for ch in pair}))
         except ProcessInterrupted:
             pass
 
@@ -152,9 +156,20 @@ def _run(schedule, reference):
             "stats": scheduler_stats(env)}
 
 
-def test_incremental_matches_reference_on_randomized_churn():
+def test_incremental_matches_reference_on_randomized_churn(monkeypatch):
+    # Count progressive-filling runs: a solve the component memo answers
+    # does not reach ``_solve_component``.
+    filled = [0]
+    solve_component = _FluidScheduler._solve_component
+
+    def counting_solve_component(self, channels, classes):
+        filled[0] += 1
+        solve_component(self, channels, classes)
+
+    monkeypatch.setattr(_FluidScheduler, "_solve_component",
+                        counting_solve_component)
     rng = random.Random(0xF1D0)
-    solved_incremental = solved_reference = 0
+    solved_incremental = solved_reference = solves_incremental = 0
     for case in range(N_SCHEDULES):
         schedule = _random_schedule(rng)
         incremental = _run(schedule, reference=False)
@@ -166,9 +181,12 @@ def test_incremental_matches_reference_on_randomized_churn():
         assert incremental["end"] == ref["end"], context
         solved_incremental += incremental["stats"]["flows_solved"]
         solved_reference += ref["stats"]["flows_solved"]
+        solves_incremental += incremental["stats"]["solves"]
     # The point of the rewrite: the incremental scheduler touches far
     # fewer flows per membership change than the full recompute.
     assert solved_incremental < solved_reference
+    # The memoized path ran, so the equalities above cover it.
+    assert 0 < filled[0] < solves_incremental
 
 
 def test_incremental_and_reference_agree_rerun_deterministically():

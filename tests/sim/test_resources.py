@@ -331,19 +331,17 @@ def test_bytes_carried_accounting():
         yield channel.transfer(123_456_789)
 
     env.run_process(env.process(proc(env)))
-    assert channel.bytes_carried == pytest.approx(123_456_789, rel=1e-3)
+    assert channel.bytes_carried == 123_456_789
 
 
 def test_bytes_carried_exact_after_many_rate_changes():
-    """Carried bytes must equal transferred bytes *exactly* (after
-    rounding), even when every flow's rate changes many times.
+    """Carried bytes must equal transferred bytes *exactly*, even when
+    every flow's rate changes many times.
 
-    The channel accumulates per-tick byte increments in float; the old
-    integer-truncating accumulator lost up to a byte per rate change and
-    drifted visibly under churn.  Staggered admits of awkward
-    (non-divisible) sizes force dozens of rate recomputations, and the
-    finishing tick's overshoot clamp keeps the ceil'd wakeup horizon
-    from over-counting.
+    A finished flow adds its integer size to each channel on its path, so
+    neither per-tick float increments nor the ceil'd wakeup horizon's
+    overshoot can show in the count.  Staggered admits of awkward
+    (non-divisible) sizes force dozens of rate recomputations.
     """
     env = Environment()
     channel = SharedChannel(env, capacity_bps=gbytes(1),
@@ -359,3 +357,26 @@ def test_bytes_carried_exact_after_many_rate_changes():
         env.process(client(env, i * 1_000_003, size))
     env.run()
     assert channel.bytes_carried == sum(sizes)
+
+
+def test_finished_flow_keeps_its_final_rate():
+    """Live flows read their rate from their path class; a finished flow
+    must keep the rate it finished at when its class is re-solved."""
+    env = Environment()
+    channel = SharedChannel(env, capacity_bps=gbytes(1))
+    seen = {}
+
+    def proc(env):
+        short = channel.transfer(100_000_000)
+        long = channel.transfer(400_000_000)
+        yield short
+        # The same tick's re-solve gives the remaining class member the
+        # whole channel.
+        yield env.timeout(1)
+        seen["short"], seen["long"] = short.rate_bps, long.rate_bps
+        yield long
+        seen["long_final"] = long.rate_bps
+
+    env.run_process(env.process(proc(env)))
+    assert seen == {"short": gbytes(1) / 2, "long": gbytes(1),
+                    "long_final": gbytes(1)}
