@@ -25,6 +25,12 @@ drop in measured speedup against the committed ``BENCH_sim.json``
 (a ratio of two same-process wall clocks, so it transfers across
 machines, unlike absolute seconds).  ``CI_FAST=1`` shrinks the fleet
 and skips the guard and the JSON rewrite.
+
+``test_segment_buffer_scaling`` guards the datapath's storage index the
+same way: host microseconds per ``SegmentBuffer`` write+read with 2048
+segments over microseconds with 16, recorded as
+``segment_buffer_scaling`` and required to stay <= 4 (a bisect index
+keeps it near 1; a linear scan of the segment list makes it ~70).
 """
 
 import hashlib
@@ -34,6 +40,7 @@ import time
 
 import pytest
 
+from repro.hw.content import PatternContent, SegmentBuffer
 from repro.sim import Environment, SharedChannel, Transfer
 from repro.sim.resources import scheduler_stats, use_reference_scheduler
 from repro.units import gbytes
@@ -47,6 +54,23 @@ FLEET = {"groups": 16, "clients": 20, "rounds": 3, "stripes": 4}
 SMALL = {"groups": 4, "clients": 6, "rounds": 2, "stripes": 4}
 
 MB = 1_000_000
+
+#: Segment counts compared by the SegmentBuffer scaling guard.
+SEGMENTS_FEW, SEGMENTS_MANY = 16, 2048
+#: Bound on the many/few per-operation cost ratio.
+SEGMENT_SCALING_BOUND = 4.0
+
+
+def _update_bench_json(updates):
+    """Merge *updates* into the committed BENCH_sim.json."""
+    payload = {}
+    if os.path.exists(BENCH_JSON):
+        with open(BENCH_JSON) as fh:
+            payload = json.load(fh)
+    payload.update(updates)
+    with open(BENCH_JSON, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _build_and_run(cfg, reference):
@@ -153,9 +177,43 @@ def test_sim_hotpath_fleet():
             f"sim hot-path regressed: speedup {speedup:.2f}x < 80% of "
             f"committed {committed['speedup']:.2f}x")
 
-    with open(BENCH_JSON, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _update_bench_json(payload)
+
+
+def _segment_us_per_op(segments, ops=4000, repeats=5):
+    """Best-of-*repeats* host microseconds per write+read of one segment
+    in a buffer holding *segments* segments (the count stays constant:
+    every write replaces exactly one segment)."""
+    seg = 4096
+    buffer = SegmentBuffer(segments * seg)
+    for index in range(segments):
+        buffer.write(index * seg, PatternContent(index, seg))
+    assert buffer.segment_count == segments
+    offsets = [(k * 7919 % segments) * seg for k in range(ops)]
+    contents = [PatternContent(segments + k, seg) for k in range(64)]
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        for k, offset in enumerate(offsets):
+            buffer.write(offset, contents[k & 63])
+            buffer.read(offset, seg)
+        best = min(best, time.perf_counter() - started)
+    assert buffer.segment_count == segments
+    return best / ops * 1e6
+
+
+def test_segment_buffer_scaling():
+    few = _segment_us_per_op(SEGMENTS_FEW)
+    many = _segment_us_per_op(SEGMENTS_MANY)
+    ratio = many / few
+    print(f"\nSegmentBuffer write+read: {few:.2f} us at {SEGMENTS_FEW} "
+          f"segments, {many:.2f} us at {SEGMENTS_MANY} -> {ratio:.2f}x")
+    assert ratio <= SEGMENT_SCALING_BOUND, (
+        f"SegmentBuffer cost grows with segment count: {ratio:.2f}x at "
+        f"{SEGMENTS_MANY} vs {SEGMENTS_FEW} segments "
+        f"(bound {SEGMENT_SCALING_BOUND}x)")
+    if os.environ.get("CI_FAST", "0") == "0":
+        _update_bench_json({"segment_buffer_scaling": round(ratio, 2)})
 
 
 @pytest.mark.bench_smoke

@@ -207,6 +207,62 @@ class IngestLimiter:
             self._note_queue()
 
 
+class _LaneWake:
+    """What one lane waits on: its in-flight WRs and its pending token.
+
+    :meth:`on_settle` is registered once per WR (when it is posted) and
+    once per queued stream token (when it is requested).  :meth:`wait`
+    returns a bare event whose value is the child that woke the lane.  It
+    must fire exactly when, and from the same child callback as, an
+    ``AnyOf(inflight + [token])`` built at wait time, so the event
+    schedule stays bit-identical: at once if a child was processed since
+    the last retire (the first in wait order, as AnyOf's constructor
+    picks), else from the first child processed after the wait began.
+    """
+
+    __slots__ = ("env", "inflight", "token", "settled", "_parked")
+
+    def __init__(self, env: Environment) -> None:
+        self.env = env
+        #: In-flight WR event -> (item, stream token, span), post order.
+        self.inflight: Dict = {}
+        #: The stream token requested but not yet granted, if any.
+        self.token: Optional[_StreamToken] = None
+        #: A child was processed since the last retire, with no waiter.
+        self.settled = False
+        self._parked: Optional[Event] = None
+
+    def watch(self, event: Event) -> None:
+        """Subscribe to a freshly posted WR."""
+        event.callbacks.append(self.on_settle)
+
+    def request(self, limiter: "IngestLimiter", owner) -> None:
+        """Ask *limiter* for a stream token; a queued one is watched."""
+        token = self.token = limiter.request(owner)
+        if not token.triggered:
+            token.callbacks.append(self.on_settle)
+
+    def on_settle(self, event: Event) -> None:
+        if event is not self.token and event not in self.inflight:
+            return  # retired or taken before its callbacks ran
+        parked = self._parked
+        if parked is None:
+            self.settled = True
+        else:
+            self._parked = None
+            parked.succeed(event)
+
+    def wait(self) -> Event:
+        """The event the lane yields; its value is the waking child."""
+        wake = Event(self.env)
+        if self.settled:
+            wake.succeed(next((event for event in self.inflight
+                               if event._processed), self.token))
+        else:
+            self._parked = wake
+        return wake
+
+
 class TransferEngine:
     """Drives one pull or push across a stripe set of QPs.
 
@@ -344,10 +400,10 @@ class TransferEngine:
         event = verb(local_mr, item.local_offset, item.rkey,
                      item.remote_addr, item.size,
                      label=f"{label_prefix}:{item.name}")
-        # The lane may yield (stream token, per-WR CPU) between posting
-        # and subscribing its wait condition, so a fast failure could
-        # fire with no waiter attached; the lane accounts for every
-        # outcome itself (_retire/_drain), so mark completions handled.
+        # The lane's wake only notes that a WR settled, often while the
+        # lane is busy elsewhere (stream token, per-WR CPU); the lane
+        # accounts for every outcome itself (_retire/_drain), so mark
+        # completions handled.
         event.defuse()
         return event
 
@@ -365,8 +421,8 @@ class TransferEngine:
         can only release by retiring completions, so blocking on the
         token while holding others would deadlock the shared limiter.
         """
-        inflight: Dict = {}
-        pending_token = None
+        lane = _LaneWake(self.env)
+        inflight = lane.inflight
         # Per-WR tracing is the hottest span site in a traced fleet run;
         # hoist the tracer check and the per-lane strings so a disabled
         # tracer allocates nothing per WR (no f-strings, no kwargs dict).
@@ -387,11 +443,11 @@ class TransferEngine:
                         and not self._aborted:
                     token = None
                     if self.stream_limit is not None:
-                        if pending_token is None:
-                            pending_token = self.stream_limit.request(self)
-                        if not pending_token.triggered:
+                        if lane.token is None:
+                            lane.request(self.stream_limit, self)
+                        if not lane.token.triggered:
                             break  # wait below, racing completions
-                        token, pending_token = pending_token, None
+                        token, lane.token = lane.token, None
                     if self.wqe_cost is not None:
                         yield from self.wqe_cost()
                     if self._aborted:
@@ -401,6 +457,7 @@ class TransferEngine:
                     item = queue.popleft()
                     event = self._post(kind, qp, item, region_mr,
                                        label_prefix)
+                    lane.watch(event)
                     wr_span = tracer.span(
                         self.env, wr_name, cat="wr",
                         trace_id=self.trace_id, parent=lane_span,
@@ -417,21 +474,13 @@ class TransferEngine:
                     # Out of QP credits with work still queued: the
                     # stall the sliding window exists to minimise.
                     self.obs.metrics.counter("engine.credit_stalls").inc()
-                waits = list(inflight)
-                if pending_token is not None:
-                    waits.append(pending_token)
-                if not waits:
+                if not inflight and lane.token is None:
                     continue
-                condition = AnyOf(self.env, waits)
-                try:
-                    yield condition
-                except BaseException as exc:  # noqa: BLE001 - recorded
-                    condition.defuse()
-                    self._record_error(exc)
-                self._retire(inflight)
+                woke = yield lane.wait()
+                self._retire(lane, woke)
         finally:
-            if pending_token is not None:
-                pending_token.cancel()
+            if lane.token is not None:
+                lane.token.cancel()
             self._drain(inflight)
             lane_span.finish(posted=posted, aborted=self._aborted)
 
@@ -444,8 +493,8 @@ class TransferEngine:
         credits; no WR of window N+1 is posted before all of window N
         has completed (the barrier the engine ablation measures).
         """
-        inflight: Dict = {}
-        pending_token = None
+        lane = _LaneWake(self.env)
+        inflight = lane.inflight
         tracer = self.obs.tracer
         if tracer.enabled:
             lane_track = f"engine/qp{index}"
@@ -464,20 +513,13 @@ class TransferEngine:
                 while window and not self._aborted:
                     token = None
                     if self.stream_limit is not None:
-                        if pending_token is None:
-                            pending_token = self.stream_limit.request(self)
-                        if not pending_token.triggered:
-                            condition = AnyOf(self.env,
-                                              list(inflight)
-                                              + [pending_token])
-                            try:
-                                yield condition
-                            except BaseException as exc:  # noqa: BLE001
-                                condition.defuse()
-                                self._record_error(exc)
-                            self._retire(inflight)
+                        if lane.token is None:
+                            lane.request(self.stream_limit, self)
+                        if not lane.token.triggered:
+                            woke = yield lane.wait()
+                            self._retire(lane, woke)
                             continue
-                        token, pending_token = pending_token, None
+                        token, lane.token = lane.token, None
                     if self.wqe_cost is not None:
                         yield from self.wqe_cost()
                     if self._aborted:
@@ -487,6 +529,7 @@ class TransferEngine:
                     item = window.popleft()
                     event = self._post(kind, qp, item, region_mr,
                                        label_prefix)
+                    lane.watch(event)
                     wr_span = tracer.span(
                         self.env, wr_name, cat="wr",
                         trace_id=self.trace_id, parent=lane_span,
@@ -503,10 +546,10 @@ class TransferEngine:
                     except BaseException as exc:  # noqa: BLE001 - recorded
                         pending.defuse()
                         self._record_error(exc)
-                    self._retire(inflight)
+                    self._retire(lane)
         finally:
-            if pending_token is not None:
-                pending_token.cancel()
+            if lane.token is not None:
+                lane.token.cancel()
             self._drain(inflight)
             lane_span.finish(aborted=self._aborted)
 
@@ -519,8 +562,17 @@ class TransferEngine:
         # flush every QP so sibling lanes' in-flight WRs retire too.
         self.abort()
 
-    def _retire(self, inflight: Dict) -> None:
-        """Return credits (and stream tokens) for every settled WR."""
+    def _retire(self, lane: _LaneWake,
+                woke: Optional[Event] = None) -> None:
+        """Return credits (and stream tokens) for every settled WR.
+
+        *woke* is the child that woke the lane.  A failed one is recorded
+        as the first error before any credit returns, the order in which
+        a failed ``AnyOf`` wait would have delivered it.
+        """
+        if woke is not None and not woke.ok:
+            self._record_error(woke.value)
+        inflight = lane.inflight
         for event in [event for event in inflight if event.triggered]:
             item, token, span = inflight.pop(event)
             self._inflight_now -= 1
@@ -536,6 +588,7 @@ class TransferEngine:
                     span.finish(ok=False)
                 if self._first_error is None:
                     self._record_error(event.value)
+        lane.settled = False
 
     def _drain(self, inflight: Dict) -> None:
         """Abort path: release tokens and defuse still-pending WRs.

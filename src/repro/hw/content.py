@@ -23,6 +23,7 @@ dedup verification and restore checks on multi-GB tensors never crash.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -309,9 +310,12 @@ class SegmentBuffer:
 
     This is the storage representation used by every device and by the
     PMem pool: writes replace sub-ranges, reads return the covering content
-    (simplified).  ``read`` scans every segment and ``write`` rebuilds and
-    re-sorts the whole list, so both cost O(#segments) per call, not
-    O(#segments touched).
+    (simplified).  Segments are kept as two parallel lists, their start
+    offsets and their contents, sorted and contiguous over ``[0, size)``.
+    ``read`` bisects to its first segment and walks only the segments it
+    covers; ``write`` bisects the touched range and splices in at most
+    three replacements (left remainder, new content, right remainder).
+    Both cost O(log #segments + #segments touched) per call.
     """
 
     def __init__(self, size: int, fill: Optional[Content] = None) -> None:
@@ -321,9 +325,8 @@ class SegmentBuffer:
         initial = fill if fill is not None else ZeroContent(size)
         if initial.size != size:
             raise ValueError("fill content size mismatch")
-        # (start_offset, content) sorted, contiguous, covering [0, size).
-        self._segments: List[Tuple[int, Content]] = (
-            [(0, initial)] if size > 0 else [])
+        self._starts: List[int] = [0] if size > 0 else []
+        self._segs: List[Content] = [initial] if size > 0 else []
 
     def write(self, offset: int, content: Content) -> None:
         """Replace ``[offset, offset + content.size)`` with *content*."""
@@ -334,19 +337,25 @@ class SegmentBuffer:
         if content.size == 0:
             return
         end = offset + content.size
-        out: List[Tuple[int, Content]] = []
-        for start, seg in self._segments:
-            seg_end = start + seg.size
-            if seg_end <= offset or start >= end:
-                out.append((start, seg))
-                continue
-            if start < offset:
-                out.append((start, seg.slice(0, offset - start)))
-            if seg_end > end:
-                out.append((end, seg.slice(end - start, seg_end - end)))
-        out.append((offset, content))
-        out.sort(key=lambda pair: pair[0])
-        self._segments = out
+        starts, segs = self._starts, self._segs
+        # Segments [i, j) overlap the write: i holds *offset*, j - 1 holds
+        # the last byte before *end*.
+        i = bisect_right(starts, offset) - 1
+        j = bisect_left(starts, end)
+        first_start = starts[i]
+        if first_start < offset:
+            new_starts = [first_start, offset]
+            new_segs = [segs[i].slice(0, offset - first_start), content]
+        else:
+            new_starts = [offset]
+            new_segs = [content]
+        last_start, last = starts[j - 1], segs[j - 1]
+        last_end = last_start + last.size
+        if last_end > end:
+            new_starts.append(end)
+            new_segs.append(last.slice(end - last_start, last_end - end))
+        starts[i:j] = new_starts
+        segs[i:j] = new_segs
 
     def read(self, offset: int = 0, length: Optional[int] = None) -> Content:
         """Return the content covering ``[offset, offset + length)``."""
@@ -357,12 +366,18 @@ class SegmentBuffer:
                 f"read [{offset}, {offset + length}) outside buffer of "
                 f"size {self.size}")
         end = offset + length
+        starts, segs = self._starts, self._segs
+        count = len(starts)
+        # Clamped so an empty (size-0) buffer still reads ZeroContent(0).
+        i = max(bisect_right(starts, offset) - 1, 0)
         parts: List[Content] = []
-        for start, seg in self._segments:
+        while i < count and starts[i] < end:
+            start, seg = starts[i], segs[i]
             lo = max(start, offset)
             hi = min(start + seg.size, end)
             if lo < hi:
                 parts.append(seg.slice(lo - start, hi - lo))
+            i += 1
         return _simplify(parts, length)
 
     def read_bytes(self, offset: int, length: int) -> bytes:
@@ -375,4 +390,4 @@ class SegmentBuffer:
 
     @property
     def segment_count(self) -> int:
-        return len(self._segments)
+        return len(self._starts)

@@ -269,6 +269,102 @@ def test_engine_abort_rescues_hung_wrs_on_sibling_lanes():
     assert nic.wrs_inflight == 0
 
 
+@pytest.mark.parametrize("pipelined", [True, False])
+def test_engine_mid_window_wr_failure_returns_every_credit(pipelined):
+    # One WR fails while its window is full and queued stream tokens are
+    # racing the completions: the engine raises that WR's error (not a
+    # sibling's flush error), and every credit and token comes back.
+    rig = _Rig([kib(256)] * 2, num_qps=3)
+    nic = rig.cluster.server.nic
+    state = {"reads": 0}
+
+    def hook(kind, label, length):
+        state["reads"] += 1
+        if state["reads"] == 5:
+            return WorkRequestError(f"{label}: injected")
+        return None
+
+    nic.fault_hook = hook
+    limiter = IngestLimiter(rig.cluster.env, capacity=4)
+    engine = TransferEngine(rig.cluster.env, rig.qps, depth=3,
+                            chunk_bytes=kib(32), stream_limit=limiter,
+                            pipelined=pipelined)
+
+    def scenario(env):
+        yield from engine.pull(rig.region_mr, rig.pairs, "rig")
+
+    with pytest.raises(WorkRequestError, match="injected"):
+        rig.cluster.run(scenario)
+    assert engine._inflight_now == 0
+    assert limiter.in_use == 0
+    assert limiter._waiters == []
+    assert engine.posted_wrs < 16  # the abort stopped posting
+
+
+def test_engine_wrs_settling_during_wqe_cost_wake_the_lane_at_once():
+    # Each WR completes while the lane is still paying the next WR's CPU
+    # cost, so every wait after the first post finds a WR already settled
+    # and must return at once.  The finish time is exact: n posts of
+    # cost C, then the last WR's own latency d.  A lost "already
+    # settled" wake would slip by d per WR, or hang on the last one.
+    cost_ns = 50_000
+    size = kib(4)
+    count = 12
+
+    def elapsed(sizes):
+        rig = _Rig(sizes, num_qps=1)
+        env = rig.cluster.env
+
+        def wqe_cost():
+            yield env.timeout(cost_ns)
+
+        start = env.now
+        _engine, moved = rig.pull(depth=2, chunk_bytes=None,
+                                  wqe_cost=wqe_cost)
+        assert moved == sum(sizes)
+        return env.now - start
+
+    latency = elapsed([size]) - cost_ns
+    assert 0 < latency < cost_ns  # each WR settles inside the next cost
+    assert elapsed([size] * count) == count * cost_ns + latency
+
+
+def test_pipelined_checkpoint_builds_no_condition_in_lanes(monkeypatch):
+    # A lane waits on one wake event per iteration, never an AnyOf over
+    # its in-flight WRs.  The barrier lane still joins each window with
+    # an AllOf, which shows the counter sees lane-built conditions.
+    from repro.sim import process
+
+    built = {"lane": 0}
+    original = process.Condition.__init__
+
+    def counting(self, env, events, count):
+        active = env.active_process
+        if active is not None and active.name.startswith("engine-"):
+            built["lane"] += 1
+        original(self, env, events, count)
+
+    monkeypatch.setattr(process.Condition, "__init__", counting)
+
+    def checkpoint_conditions(pipelined):
+        built["lane"] = 0
+        cluster = PaperCluster(seed=45, client_num_qps=4, daemon_kwargs={
+            "engine": {"max_pmem_streams": 4, "pipelined": pipelined}})
+
+        def scenario(env):
+            session = yield from cluster.portus_register("alexnet")
+            session.model.update_step(1)
+            reply = yield from session.checkpoint(1)
+            return reply["bytes_pulled"]
+
+        assert cluster.run(scenario) > 0
+        assert cluster.server.nic.wrs_posted > 8
+        return built["lane"]
+
+    assert checkpoint_conditions(pipelined=True) == 0
+    assert checkpoint_conditions(pipelined=False) > 0
+
+
 def test_local_copy_engine_single_stream_matches_one_transfer():
     total = mib(24)
     durations = []

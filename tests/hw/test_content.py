@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.hw.content import (ByteContent, CompositeContent, PatternContent,
                               SegmentBuffer, TornContent, ZeroContent,
-                              pattern_bytes)
+                              _simplify, pattern_bytes)
 
 
 # --- pattern determinism ------------------------------------------------------
@@ -203,3 +203,123 @@ def test_buffer_matches_reference_bytearray(writes):
         buffer.write(offset, ByteContent(data))
         reference[offset:offset + len(data)] = data
     assert buffer.read().to_bytes() == bytes(reference)
+
+
+# --- indexed SegmentBuffer vs the linear oracle ----------------------------------
+
+
+class _LinearSegmentBuffer:
+    """The O(#segments) buffer that the indexed one replaced, kept as an
+    oracle: ``read`` scans every segment, ``write`` rebuilds and re-sorts
+    the whole list."""
+
+    def __init__(self, size):
+        self.size = size
+        self._segments = [(0, ZeroContent(size))] if size > 0 else []
+
+    def write(self, offset, content):
+        if content.size == 0:
+            return
+        end = offset + content.size
+        out = []
+        for start, seg in self._segments:
+            seg_end = start + seg.size
+            if seg_end <= offset or start >= end:
+                out.append((start, seg))
+                continue
+            if start < offset:
+                out.append((start, seg.slice(0, offset - start)))
+            if seg_end > end:
+                out.append((end, seg.slice(end - start, seg_end - end)))
+        out.append((offset, content))
+        out.sort(key=lambda pair: pair[0])
+        self._segments = out
+
+    def read(self, offset, length):
+        end = offset + length
+        parts = []
+        for start, seg in self._segments:
+            lo = max(start, offset)
+            hi = min(start + seg.size, end)
+            if lo < hi:
+                parts.append(seg.slice(lo - start, hi - lo))
+        return _simplify(parts, length)
+
+
+def _key(content):
+    """Fingerprint, with torn parts keyed by value: a torn fingerprint is
+    its object identity, and each buffer slices its own torn objects."""
+    if isinstance(content, TornContent):
+        return ("torn", content.size, content.note)
+    if isinstance(content, CompositeContent):
+        return ("composite", tuple(_key(part) for part in content.parts))
+    return content.fingerprint()
+
+
+def _layout(buffer):
+    if isinstance(buffer, _LinearSegmentBuffer):
+        return [(start, _key(seg)) for start, seg in buffer._segments]
+    return [(start, _key(seg))
+            for start, seg in zip(buffer._starts, buffer._segs)]
+
+
+def _contents(offset, length):
+    """Pattern (joinable with its neighbours when based on *offset*), zero,
+    byte and torn contents of exactly *length* bytes."""
+    return st.one_of(
+        st.builds(lambda seed, base: PatternContent(seed, length, base=base),
+                  st.integers(0, 2), st.sampled_from([offset, 0, 7])),
+        st.just(ZeroContent(length)),
+        st.binary(min_size=length, max_size=length).map(ByteContent),
+        st.sampled_from(["crash", "mutated"]).map(
+            lambda note: TornContent(length, note)),
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_indexed_buffer_matches_linear_oracle(data):
+    """Differential: identical segment lists and reads, write for write,
+    with writes that cover, straddle, or align with segment boundaries."""
+    size = data.draw(st.integers(1, 160), label="size")
+    fast, oracle = SegmentBuffer(size), _LinearSegmentBuffer(size)
+    for _ in range(data.draw(st.integers(1, 30), label="ops")):
+        bounds = sorted({start for start, _ in oracle._segments} | {size})
+        point = st.one_of(st.sampled_from(bounds), st.integers(0, size))
+        lo, hi = sorted((data.draw(point), data.draw(point)))
+        if data.draw(st.booleans(), label="write"):
+            content = data.draw(_contents(lo, hi - lo))
+            fast.write(lo, content)
+            oracle.write(lo, content)
+        else:
+            assert _key(fast.read(lo, hi - lo)) == \
+                _key(oracle.read(lo, hi - lo))
+        assert _layout(fast) == _layout(oracle)
+        assert fast.segment_count == len(oracle._segments)
+    assert _key(fast.read()) == _key(oracle.read(0, size))
+
+
+def test_empty_buffer_reads_zero_content():
+    buffer = SegmentBuffer(0)
+    assert buffer.segment_count == 0
+    empty = buffer.read()
+    assert isinstance(empty, ZeroContent) and empty.size == 0
+
+
+def test_zero_length_read_at_end_of_buffer():
+    buffer = SegmentBuffer(32)
+    buffer.write(16, PatternContent(seed=1, size=16, base=16))
+    for read in (buffer.read(32, 0), buffer.read(32)):
+        assert isinstance(read, ZeroContent) and read.size == 0
+
+
+def test_full_overwrite_collapses_to_one_segment():
+    buffer = SegmentBuffer(64)
+    buffer.write(3, ByteContent(b"abc"))
+    buffer.write(20, TornContent(9))
+    buffer.write(40, PatternContent(seed=2, size=10))
+    assert buffer.segment_count == 7
+    whole = PatternContent(seed=5, size=64)
+    buffer.write(0, whole)
+    assert buffer.segment_count == 1
+    assert buffer.read().fingerprint() == whole.fingerprint()
