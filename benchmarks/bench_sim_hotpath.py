@@ -26,6 +26,13 @@ drop in measured speedup against the committed ``BENCH_sim.json``
 machines, unlike absolute seconds).  ``CI_FAST=1`` shrinks the fleet
 and skips the guard and the JSON rewrite.
 
+``test_component_walks_follow_class_churn`` counts, on the full-size
+fleet, how often the incremental scheduler walks a connected component
+against how often a path class is created or dropped (the only events
+that can merge or split one), and records both as ``components``.
+Every other solve must reuse a cached component, so walks may not
+outnumber class creates + drops.  The counts are machine-independent.
+
 ``test_segment_buffer_scaling`` guards the datapath's storage index the
 same way: host microseconds per ``SegmentBuffer`` write+read with 2048
 segments over microseconds with 16, recorded as
@@ -42,7 +49,8 @@ import pytest
 
 from repro.hw.content import PatternContent, SegmentBuffer
 from repro.sim import Environment, SharedChannel, Transfer
-from repro.sim.resources import scheduler_stats, use_reference_scheduler
+from repro.sim.resources import (_FluidScheduler, _PathClass,
+                                 scheduler_stats, use_reference_scheduler)
 from repro.units import gbytes
 
 BENCH_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -178,6 +186,38 @@ def test_sim_hotpath_fleet():
             f"committed {committed['speedup']:.2f}x")
 
     _update_bench_json(payload)
+
+
+def test_component_walks_follow_class_churn(monkeypatch):
+    counts = {"builds": 0, "class_creates": 0, "class_drops": 0}
+    build_component = _FluidScheduler._build_component
+    drop_class = _FluidScheduler._drop_class
+    path_class_init = _PathClass.__init__
+
+    def counting_build(self, start):
+        counts["builds"] += 1
+        return build_component(self, start)
+
+    def counting_drop(self, path_class):
+        counts["class_drops"] += 1
+        drop_class(self, path_class)
+
+    def counting_init(self, key, class_id):
+        counts["class_creates"] += 1
+        path_class_init(self, key, class_id)
+
+    monkeypatch.setattr(_FluidScheduler, "_build_component", counting_build)
+    monkeypatch.setattr(_FluidScheduler, "_drop_class", counting_drop)
+    monkeypatch.setattr(_PathClass, "__init__", counting_init)
+    _wall, _events, stats, _digest = _build_and_run(FLEET, reference=False)
+    counts["solves"] = stats["solves"]
+    print(f"\ncomponent walks: {counts['builds']:,} for "
+          f"{counts['class_creates']:,} class creates + "
+          f"{counts['class_drops']:,} drops, {counts['solves']:,} solves")
+    assert counts["builds"] <= counts["class_creates"] + counts["class_drops"]
+    assert counts["builds"] < counts["solves"]
+    if os.environ.get("CI_FAST", "0") == "0":
+        _update_bench_json({"components": counts})
 
 
 def _segment_us_per_op(segments, ops=4000, repeats=5):

@@ -14,15 +14,19 @@
 #   2. bench smoke: every benchmark datapath, tiniest config, one
 #      iteration (scripts/bench_smoke.sh); then the sim hot-path bench,
 #      which guards against a >20% speedup regression vs the committed
-#      BENCH_sim.json, and its SegmentBuffer scaling guard (per-op cost
-#      at 2048 segments <= 4x the cost at 16), the dedup bench, which
+#      BENCH_sim.json, its component-walk count guard (the fluid solver
+#      walks a connected component only after a path class is created
+#      or dropped: walks <= creates + drops), and its SegmentBuffer
+#      scaling guard (per-op cost at 2048 segments <= 4x the cost at
+#      16), the dedup bench, which
 #      guards the Fig. 14 trace's bytes-moved reduction vs the committed
 #      BENCH_dedup.json, the fleet bench, which guards the 96-tenant
 #      open loop's p99 improvement vs the committed BENCH_fleet.json,
 #      and the group bench, which guards the parallel-group dump
 #      speedup vs the committed BENCH_group.json
-#      (CI_FAST runs all four at reduced scale, no guard; the scaling
-#      guard runs at full size but leaves BENCH_sim.json alone);
+#      (CI_FAST runs all four at reduced scale, no guard; the count
+#      and scaling guards run at full size but leave BENCH_sim.json
+#      alone);
 #   3. trace smoke: a traced benchmark run must emit loadable Chrome
 #      trace_event JSON + a metrics snapshot at zero simulated-time
 #      cost (the observability layer's contract);
@@ -93,6 +97,10 @@ scripts/bench_smoke.sh
 step "sim hot-path bench (regression guard vs BENCH_sim.json)"
 PYTHONPATH=src python -m pytest \
     "benchmarks/bench_sim_hotpath.py::test_sim_hotpath_fleet" -q
+
+step "component-walk count guard (walks <= class creates + drops)"
+PYTHONPATH=src python -m pytest \
+    "benchmarks/bench_sim_hotpath.py::test_component_walks_follow_class_churn" -q
 
 step "SegmentBuffer scaling guard (2048 vs 16 segments, <= 4x)"
 PYTHONPATH=src python -m pytest \

@@ -40,17 +40,26 @@ change, the simulator's wall-clock bottleneck (see
   finishing flow stores its final rate and leaves its class.
 * **Dirty-channel component re-solve.**  A membership change marks only
   the touched channels dirty.  The solver re-runs progressive filling
-  over the *connected component* of channels/classes reachable from the
+  over the *connected component(s)* of channels/classes that hold the
   dirty set; disjoint traffic (another daemon's NIC/PMem pair, another
   rack) keeps its rates untouched.  Max-min allocations of disjoint
   components are independent, so the result is identical to the full
-  recompute.
-* **Memoized component solves.**  The walked component is closed under
-  channel adjacency, so every flow on its channels belongs to its
-  classes, and channel capacities are fixed at construction.  The class
-  rates are therefore a pure function of the multiset
-  ``{(path, cap): flow count}``; a bounded LRU keyed by it answers
-  repeats without re-running the filling.
+  recompute.  Components persist between solves: each channel maps to
+  its component, and only a class create or drop — the only events
+  that merge or split one — drops the components on that class's
+  channels.  The next solve walks adjacency again from the dirty
+  channels, which include every channel of that class, so each piece
+  of a split is found; every other solve looks its components up.  In
+  the filling, channels that carry the same class set are one
+  constraint at their smallest capacity: their flow counts are equal,
+  so it always offers the smallest share.
+* **Memoized component solves.**  A component is closed under channel
+  adjacency, so every flow on its channels belongs to its classes, and
+  channel capacities are fixed at construction.  The class rates are
+  therefore a pure function of its classes and their flow counts; a
+  bounded LRU keyed by ``(class ids, flow counts)`` — small ints from a
+  ``{(path, cap): id}`` intern table, in id order — answers repeats
+  without re-running the filling.
 * **Same-tick coalescing.**  Admissions mark dirty state and schedule one
   *urgent flush* event at the current timestamp; a striped stripe set of
   N same-tick transfers triggers one solve, not N.  Progress accounting
@@ -354,22 +363,51 @@ class _PathClass:
     same channels and bind at the same cap — so they always freeze in the
     same round at the same rate.  The solver handles each class as one
     unit weighted by its flow count, and its flows read their rate from
-    the class.
+    the class.  ``id`` is the scheduler's interned number for ``key``; a
+    class dropped and re-created later gets the same one.
     """
 
-    __slots__ = ("key", "channels", "rate_cap_bps", "flows", "rate_bps",
-                 "min_remaining")
+    __slots__ = ("key", "id", "channels", "rate_cap_bps", "flows",
+                 "rate_bps", "min_remaining")
 
-    def __init__(self, channels: tuple,
-                 rate_cap_bps: Optional[float]) -> None:
-        self.key = (channels, rate_cap_bps)
-        self.channels = channels
-        self.rate_cap_bps = rate_cap_bps
+    def __init__(self, key: tuple, class_id: int) -> None:
+        self.key = key
+        self.id = class_id
+        self.channels, self.rate_cap_bps = key
         # Insertion-ordered for reproducible iteration; membership only.
         self.flows: Dict[Transfer, None] = {}
-        self.rate_bps = 0.0
+        # A class on no channel (a loopback transfer) shares nothing, so
+        # it is never solved: it runs at the rate the full filling gives
+        # it, its cap, or without bound when uncapped.
+        if self.channels:
+            self.rate_bps = 0.0
+        elif self.rate_cap_bps is None:
+            self.rate_bps = math.inf
+        else:
+            self.rate_bps = max(self.rate_cap_bps, 1e-9)
         # Smallest ``remaining`` among ``flows``: the class's next finisher.
         self.min_remaining = math.inf
+
+
+class _Component:
+    """One connected component of live classes and their channels.
+
+    The scheduler keeps it between solves and drops it when a class on
+    one of its channels is created or dropped; flow counts may change
+    while it stays valid.  ``classes`` are in interned-id order, and
+    ``ids`` is their id tuple, the class half of a memo key.  ``plan``
+    holds the fill structures (see :meth:`_FluidScheduler._plan`), built
+    at the first fill the memo cannot answer.
+    """
+
+    __slots__ = ("classes", "ids", "channels", "plan")
+
+    def __init__(self, classes: List[_PathClass],
+                 channels: List[SharedChannel]) -> None:
+        self.classes = classes
+        self.ids = tuple([path_class.id for path_class in classes])
+        self.channels = channels
+        self.plan: Optional[tuple] = None
 
 
 class _FluidScheduler:
@@ -377,8 +415,8 @@ class _FluidScheduler:
     filling over path classes (see the module docstring)."""
 
     __slots__ = ("env", "_order", "_last_update", "_wakeup_gen", "_dirty",
-                 "_flush_pending", "_classes", "_channel_classes", "_memo",
-                 "stats")
+                 "_flush_pending", "_classes", "_class_ids",
+                 "_channel_classes", "_components", "_memo", "stats")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
@@ -396,11 +434,16 @@ class _FluidScheduler:
         # Live path classes by (channels, rate cap), and each channel's
         # classes; a class leaves both when its last flow finishes.
         self._classes: Dict[tuple, _PathClass] = {}
+        # Interned class ids by (channels, rate cap), kept across drops.
+        self._class_ids: Dict[tuple, int] = {}
         self._channel_classes: Dict[SharedChannel,
                                     Dict[_PathClass, None]] = {}
-        # LRU of solved components: frozenset of (class key, flow count)
-        # -> {class key: rate}, least recently used first.
-        self._memo: Dict[frozenset, Dict[tuple, float]] = {}
+        # The component of each channel that carries a live class; a
+        # channel is missing while its component awaits a rebuild.
+        self._components: Dict[SharedChannel, _Component] = {}
+        # LRU of solved components, least recently used first:
+        # (class ids, flow counts) -> rates, all in class-id order.
+        self._memo: Dict[tuple, List[float]] = {}
         self.stats = {"solves": 0, "flows_solved": 0, "channels_solved": 0,
                       "flushes": 0, "wakeups": 0}
 
@@ -421,10 +464,12 @@ class _FluidScheduler:
         key = (tuple(transfer.channels), transfer.rate_cap_bps)
         path_class = self._classes.get(key)
         if path_class is None:
-            path_class = self._classes[key] = _PathClass(*key)
+            class_id = self._class_ids.setdefault(key, len(self._class_ids))
+            path_class = self._classes[key] = _PathClass(key, class_id)
             channel_classes = self._channel_classes
             for channel in path_class.channels:
                 channel_classes.setdefault(channel, {})[path_class] = None
+            self._invalidate(path_class)
         path_class.flows[transfer] = None
         if transfer.remaining < path_class.min_remaining:
             path_class.min_remaining = transfer.remaining
@@ -512,6 +557,19 @@ class _FluidScheduler:
             del classes[path_class]
             if not classes:
                 del channel_classes[channel]
+        self._invalidate(path_class)
+
+    def _invalidate(self, path_class: _PathClass) -> None:
+        """Forget the components on *path_class*'s channels, which its
+        creation or drop may merge or split.  Its channels are dirty, and
+        every piece of a split holds one of them, so the next solve walks
+        each piece again."""
+        components = self._components
+        for channel in path_class.channels:
+            component = components.get(channel)
+            if component is not None:
+                for other in component.channels:
+                    del components[other]
 
     def _reallocate(self) -> None:
         """Re-solve the dirty component(s) and schedule the next completion."""
@@ -546,14 +604,56 @@ class _FluidScheduler:
         self._dirty = {}
         if not self._classes:
             return
-        # Walk channel<->class adjacency from the dirty channels.  The
-        # filling below is order-independent; ordered dicts just keep the
-        # walk reproducible.
+        components = self._components
+        channel_classes = self._channel_classes
+        found: Dict[_Component, None] = {}
+        for channel in dirty:
+            component = components.get(channel)
+            if component is None:
+                if channel not in channel_classes:
+                    continue
+                component = self._build_component(channel)
+            found[component] = None
+        if not found:
+            return
+        if len(found) == 1:
+            component, = found
+        else:
+            # Components dirtied in one flush fill together, as one: the
+            # filling's 1e-9 freeze tolerance can tie shares across them.
+            component = _Component(
+                sorted([path_class for part in found
+                        for path_class in part.classes],
+                       key=attrgetter("id")),
+                [channel for part in found for channel in part.channels])
+        classes = component.classes
+        counts = tuple([len(path_class.flows) for path_class in classes])
+        stats = self.stats
+        stats["solves"] += 1
+        stats["flows_solved"] += sum(counts)
+        stats["channels_solved"] += len(component.channels)
+        # A component is closed under adjacency, so every flow on its
+        # channels is in its classes, and channel capacities never change
+        # after construction: the rates are a pure function of the class
+        # ids and their flow counts.
+        key = (component.ids, counts)
+        memo = self._memo
+        rates = memo.pop(key, None)
+        if rates is None:
+            rates = self._solve_component(component, counts)
+            if len(memo) >= _SOLVE_MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[key] = rates
+        for path_class, rate in zip(classes, rates):
+            path_class.rate_bps = rate
+
+    def _build_component(self, start: SharedChannel) -> _Component:
+        """Walk channel<->class adjacency from *start* into its component
+        and map each of its channels to it."""
         channel_classes = self._channel_classes
         classes: Dict[_PathClass, None] = {}
-        stack: List[SharedChannel] = [
-            ch for ch in dirty if ch in channel_classes]
-        seen: Dict[SharedChannel, None] = dict.fromkeys(stack)
+        stack = [start]
+        seen: Dict[SharedChannel, None] = {start: None}
         while stack:
             for path_class in channel_classes[stack.pop()]:
                 if path_class not in classes:
@@ -562,100 +662,138 @@ class _FluidScheduler:
                         if other not in seen:
                             seen[other] = None
                             stack.append(other)
-        if not classes:
-            return
-        self.stats["solves"] += 1
-        self.stats["flows_solved"] += sum(
-            len(path_class.flows) for path_class in classes)
-        self.stats["channels_solved"] += len(seen)
-        # The walk is closed under adjacency, so every flow on these
-        # channels is in these classes, and channel capacities never
-        # change after construction: the rates are a pure function of the
-        # multiset {class key: flow count}.
-        signature = frozenset([(path_class.key, len(path_class.flows))
-                               for path_class in classes])
-        memo = self._memo
-        rates = memo.pop(signature, None)
-        if rates is None:
-            self._solve_component(seen, classes)
-            rates = {path_class.key: path_class.rate_bps
-                     for path_class in classes}
-            if len(memo) >= _SOLVE_MEMO_SIZE:
-                del memo[next(iter(memo))]
-        else:
-            for path_class in classes:
-                path_class.rate_bps = rates[path_class.key]
-        memo[signature] = rates
+        component = _Component(sorted(classes, key=attrgetter("id")),
+                               list(seen))
+        components = self._components
+        for channel in seen:
+            components[channel] = component
+        return component
 
-    def _solve_component(self, channels: Dict[SharedChannel, None],
-                         classes: Dict[_PathClass, None]) -> None:
-        """Max-min progressive filling over one connected component.
+    def _plan(self, component: _Component) -> tuple:
+        """Fill structures of *component*: its channels grouped by the
+        set of classes they carry, one constraint per group.
+
+        Channels of one group always carry equal flow counts, so the one
+        with the smallest capacity offers the smallest share, and after
+        the same subtractions it still holds the smallest capacity
+        (float subtraction, division and ``max(., 0)`` are monotone).  It
+        alone decides when the group's classes freeze; the others are
+        never read.  A group's capacity is the smallest fixed capacity
+        among its channels, lowered per fill by any congestible one.
+        """
+        channel_classes = self._channel_classes
+        classes = component.classes
+        index = {path_class: i for i, path_class in enumerate(classes)}
+        groups: Dict[tuple, List[SharedChannel]] = {}
+        for channel in component.channels:
+            members = tuple(sorted([index[path_class] for path_class
+                                    in channel_classes[channel]]))
+            groups.setdefault(members, []).append(channel)
+        first_channels: List[SharedChannel] = []
+        fixed_caps: List[float] = []
+        congestible: List[tuple] = []
+        class_groups: List[List[int]] = [[] for _ in classes]
+        for g, (members, channels) in enumerate(groups.items()):
+            first_channels.append(channels[0])
+            fixed_caps.append(min(
+                [channel.capacity_bps for channel in channels
+                 if channel.congested_capacity_bps is None],
+                default=math.inf))
+            varying = tuple([channel for channel in channels
+                             if channel.congested_capacity_bps is not None])
+            if varying:
+                congestible.append((g, varying))
+            for i in members:
+                class_groups[i].append(g)
+        class_caps = [path_class.rate_cap_bps for path_class in classes]
+        capped = [i for i, cap in enumerate(class_caps) if cap is not None]
+        return (first_channels, fixed_caps, congestible, list(groups),
+                class_groups, class_caps, capped)
+
+    def _solve_component(self, component: _Component,
+                         counts: tuple) -> List[float]:
+        """Max-min progressive filling over one component; returns the
+        class rates in the component's class order.
 
         Bit-identical to the reference solver's flow-by-flow loop: every
         flow frozen in one round gets the same rate ``max(level, 1e-9)``,
         so a channel carrying ``n`` of them takes exactly ``n`` repeated
         ``c = max(c - r, 0.0)`` steps whatever the flow order.  The steps
         are skipped on a channel left with no unfrozen flow, whose
-        capacity is never read again.  Sets class rates only; flows read
-        theirs through :attr:`Transfer.rate_bps`.
+        capacity is never read again.  Channels are filled by group (see
+        :meth:`_plan`); *counts* are the classes' flow counts.
         """
-        channel_classes = self._channel_classes
-        remaining_cap: Dict[SharedChannel, float] = {}
-        live_count: Dict[SharedChannel, int] = {}
-        for channel in channels:
-            count = len(channel.flows)
-            remaining_cap[channel] = channel.capacity_for(count)
-            live_count[channel] = count
-        unfrozen = dict(classes)
-        capped = [c for c in classes if c.rate_cap_bps is not None]
+        plan = component.plan
+        if plan is None:
+            plan = component.plan = self._plan(component)
+        (first_channels, fixed_caps, congestible, members, class_groups,
+         class_caps, capped) = plan
+        live = [len(channel.flows) for channel in first_channels]
+        caps = list(fixed_caps)
+        for g, channels in congestible:
+            count = live[g]
+            cap = caps[g]
+            for channel in channels:
+                offered = channel.capacity_for(count)
+                if offered < cap:
+                    cap = offered
+            caps[g] = cap
+        rates = [0.0] * len(counts)
+        unfrozen = [True] * len(counts)
+        left = len(counts)
+        groups = range(len(live))
 
-        while unfrozen:
+        while left:
             # The next bottleneck is the smallest equal share on offer,
             # considering both channel shares and per-flow caps.
             share = math.inf
-            for channel, count in live_count.items():
+            for g in groups:
+                count = live[g]
                 if count:
-                    offered = remaining_cap[channel] / count
+                    offered = caps[g] / count
                     if offered < share:
                         share = offered
             cap_limit = math.inf
             if capped:
-                capped = [c for c in capped if c in unfrozen]
-                for path_class in capped:
-                    if path_class.rate_cap_bps < cap_limit:
-                        cap_limit = path_class.rate_cap_bps
+                capped = [i for i in capped if unfrozen[i]]
+                for i in capped:
+                    if class_caps[i] < cap_limit:
+                        cap_limit = class_caps[i]
             if cap_limit < share:
                 # Freeze every class whose own cap binds first.
                 level = cap_limit
-                frozen = [c for c in capped if c.rate_cap_bps <= level]
+                frozen = [i for i in capped if class_caps[i] <= level]
             else:
                 level = share
+                bound = level + 1e-9
                 frozen = {}
-                for channel, count in live_count.items():
-                    if count and \
-                            remaining_cap[channel] / count <= level + 1e-9:
-                        for path_class in channel_classes[channel]:
-                            if path_class in unfrozen:
-                                frozen[path_class] = None
+                for g in groups:
+                    count = live[g]
+                    if count and caps[g] / count <= bound:
+                        for i in members[g]:
+                            if unfrozen[i]:
+                                frozen[i] = None
             rate = max(level, 1e-9)
-            steps: Dict[SharedChannel, int] = {}
-            for path_class in frozen:
-                del unfrozen[path_class]
-                path_class.rate_bps = rate
-                n = len(path_class.flows)
-                for channel in path_class.channels:
-                    live_count[channel] -= n
-                    steps[channel] = steps.get(channel, 0) + n
-            for channel, n in steps.items():
-                if live_count[channel]:
-                    cap = remaining_cap[channel]
+            steps: Dict[int, int] = {}
+            for i in frozen:
+                unfrozen[i] = False
+                left -= 1
+                rates[i] = rate
+                n = counts[i]
+                for g in class_groups[i]:
+                    live[g] -= n
+                    steps[g] = steps.get(g, 0) + n
+            for g, n in steps.items():
+                if live[g]:
+                    cap = caps[g]
                     for _ in range(n):
                         # max(cap - rate, 0.0), and 0.0 is a fixed point.
                         cap -= rate
                         if cap < 0.0:
                             cap = 0.0
                             break
-                    remaining_cap[channel] = cap
+                    caps[g] = cap
+        return rates
 
 
 class _ReferenceFluidScheduler:

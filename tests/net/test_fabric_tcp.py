@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConnectionClosed, NetworkError
 from repro.net import Fabric, TcpStack
 from repro.sim import Environment, Transfer
+from repro.sim.resources import use_reference_scheduler
 from repro.units import SECOND, gbytes, usecs
 
 
@@ -72,6 +73,35 @@ def test_tcp_connect_send_recv():
     env.run()
     assert result["got"] == {"n": 41}
     assert result["reply"] == {"reply": 42}
+
+
+@pytest.mark.parametrize("reference", [False, True],
+                         ids=["incremental", "reference"])
+def test_tcp_loopback_send(reference):
+    """A stack connecting to its own hostname sends over the loopback
+    path, which crosses no channel: the message pays the handshake and
+    kernel latencies plus its capped wire time, on both schedulers."""
+    env = Environment()
+    if reference:
+        use_reference_scheduler(env)
+    fabric = Fabric(env)
+    stack = TcpStack(env, fabric, fabric.attach("solo"), "solo")
+    got = {}
+
+    def server_proc(env):
+        conn = yield from stack.listen(9000).accept()
+        got["msg"] = yield from conn.recv()
+        got["at"] = env.now
+
+    def client_proc(env):
+        conn = yield from stack.connect("solo", 9000)
+        yield from conn.send("ping")
+
+    env.process(server_proc(env))
+    env.process(client_proc(env))
+    env.run()
+    # 3 handshake latencies + 1 message latency + ceil(256 B / 2.5 GB/s).
+    assert got == {"msg": "ping", "at": 4 * usecs(25) + 103}
 
 
 def test_tcp_messages_pay_kernel_latency():

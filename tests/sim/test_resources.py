@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import AllOf, AnyOf, Environment, Resource, SharedChannel, Store, Transfer
+from repro.sim.resources import use_reference_scheduler
 from repro.units import SECOND, gbytes
 
 
@@ -380,3 +381,26 @@ def test_finished_flow_keeps_its_final_rate():
     env.run_process(env.process(proc(env)))
     assert seen == {"short": gbytes(1) / 2, "long": gbytes(1),
                     "long_final": gbytes(1)}
+
+
+@pytest.mark.parametrize("reference", [False, True],
+                         ids=["incremental", "reference"])
+@pytest.mark.parametrize("cap, finished_at, rate", [
+    (None, 1, float("inf")),
+    (1e9, 1000, 1e9),
+], ids=["uncapped", "capped"])
+def test_channel_less_transfer_runs_at_its_cap(reference, cap, finished_at,
+                                               rate):
+    """A transfer on no channel (a loopback path) shares nothing: it runs
+    at its cap, or without bound (one tick) when uncapped, on both
+    schedulers, alongside unrelated channel traffic."""
+    env = Environment()
+    if reference:
+        use_reference_scheduler(env)
+    channel = SharedChannel(env, capacity_bps=gbytes(1))
+    other = channel.transfer(1_000_000)
+    loopback = Transfer(env, [], 1000, rate_cap_bps=cap)
+    env.run()
+    assert loopback.finished_at == finished_at
+    assert loopback.rate_bps == rate
+    assert other.finished_at == SECOND // 1000
