@@ -16,9 +16,10 @@ OPS_EXAMPLES="${PORTUS_OPS_EXAMPLES:-$EXAMPLES}"
 # The fleet sweep runs 3-shard schedules end to end (~1.5s each), so
 # its default is smaller than the single-daemon sweeps'.
 FLEET_EXAMPLES="${PORTUS_FLEET_EXAMPLES:-8}"
-# The group crash sweep replays a full group lifecycle per boundary;
-# tier-1 covers every boundary, so the determinism pass subsamples.
-GROUP_STRIDE="${PORTUS_CRASHPOINT_STRIDE:-7}"
+# The crash sweeps (base, dedup, group) replay a full lifecycle per
+# boundary; tier-1 covers every boundary, so the determinism pass
+# subsamples.
+CRASH_STRIDE="${PORTUS_CRASHPOINT_STRIDE:-7}"
 WORKDIR="$(mktemp -d)"
 trap 'rm -rf "$WORKDIR"' EXIT
 
@@ -28,12 +29,14 @@ run() {
     PORTUS_CHAOS_EXAMPLES="$EXAMPLES" \
     PORTUS_OPS_EXAMPLES="$OPS_EXAMPLES" \
     PORTUS_FLEET_EXAMPLES="$FLEET_EXAMPLES" \
-    PORTUS_CRASHPOINT_STRIDE="$GROUP_STRIDE" \
+    PORTUS_CRASHPOINT_STRIDE="$CRASH_STRIDE" \
     PORTUS_CHAOS_SEED="$SEED" \
     CHAOS_TRACE="$trace" \
         python -m pytest tests/faults/test_chaos_properties.py \
             tests/faults/test_operator_chaos.py \
             tests/faults/test_fleet_chaos.py \
+            tests/faults/test_crash_points.py \
+            tests/faults/test_dedup_crash_points.py \
             tests/faults/test_group_crash.py -q -x \
             -p no:cacheprovider >"$trace.log" 2>&1 || {
         echo "chaos suite failed; last lines of $trace.log:" >&2

@@ -3,9 +3,10 @@
 #
 #   1. tier-1: the full unit/integration suite (tests/), including the
 #      chaos sweeps at their default 200 schedules and the crash-point
-#      sweep at every boundary; then the group crash sweep again under
-#      a second seed (PORTUS_CRASHPOINT_SEED=1, whose boundaries tear
-#      growing record slots); then the fluid differential suite at 2000
+#      sweeps at every boundary; then the base, dedup and group crash
+#      sweeps again under a second seed (PORTUS_CRASHPOINT_SEED=1; its
+#      group boundaries tear growing record slots); then the fluid
+#      differential suite at 2000
 #      schedules (deeper coverage of the memoized component solves);
 #      then the self-healing operator and
 #      fleet chaos smokes and `portusctl fsck` / `health` smokes —
@@ -51,9 +52,11 @@ step() { printf '\n=== %s ===\n' "$*"; }
 step "tier-1 test suite"
 PYTHONPATH=src python -m pytest -x -q
 
-step "group crash sweep, second seed (torn record-slot tails)"
+step "crash sweeps, second seed (base, dedup, group; torn record-slot tails)"
 PYTHONPATH=src PORTUS_CRASHPOINT_SEED=1 \
-    python -m pytest tests/faults/test_group_crash.py -x -q
+    python -m pytest tests/faults/test_crash_points.py \
+        tests/faults/test_dedup_crash_points.py \
+        tests/faults/test_group_crash.py -x -q
 
 step "fluid differential suite, 2000 schedules (incremental vs reference)"
 PYTHONPATH=src PORTUS_FLUID_EXAMPLES=2000 \

@@ -31,6 +31,9 @@ from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from repro.core import protocol
 from repro.core.daemon import PortusDaemon
+from repro.core.dedup import (chunk_content, chunk_digest, chunk_spans,
+                              manifest_digests)
+from repro.core.index import layout_tensors
 from repro.core.retry import RETRYABLE_FAULTS, RetryPolicy
 from repro.dnn.tensor import ModelInstance
 from repro.errors import (PortusError, ProtocolError, ReproError,
@@ -38,6 +41,7 @@ from repro.errors import (PortusError, ProtocolError, ReproError,
 from repro.hw.node import Node
 from repro.net.tcp import TcpStack
 from repro.obs import Observability
+from repro.pmem.chunks import DEFAULT_CHUNK_BYTES
 from repro.rdma.verbs import connect
 from repro.sim import AnyOf, Environment
 
@@ -302,9 +306,6 @@ class ModelSession:
         """Chunk spans over the model's laid-out region (computed once:
         tensor addresses and shapes are fixed for the life of the job)."""
         if self._chunk_spans is None:
-            from repro.core.dedup import chunk_spans
-            from repro.core.index import layout_tensors
-
             descriptors, region_size = layout_tensors(
                 [tensor.spec for tensor in self.model.tensors])
             self._chunk_spans = chunk_spans(descriptors, region_size,
@@ -318,9 +319,6 @@ class ModelSession:
         overlapping a tensor written since the last acked checkpoint are
         re-digested; the rest come from the cached previous manifest.
         """
-        from repro.core.dedup import (chunk_content, chunk_digest,
-                                      manifest_digests)
-
         spans = self._spans()
         contents = {tensor.name: tensor.content()
                     for tensor in self.model.tensors}
@@ -464,7 +462,6 @@ class PortusClient:
         dedup_chunk_bytes = None
         if dedup:
             if chunk_bytes is None:
-                from repro.pmem.chunks import DEFAULT_CHUNK_BYTES
                 chunk_bytes = DEFAULT_CHUNK_BYTES
             dedup_chunk_bytes = int(chunk_bytes)
         elif chunk_bytes is not None:

@@ -6,13 +6,19 @@ DRAM ModelMap of :class:`ModelEntry`), and serves four operations:
 * REGISTER — build (or re-attach to) a model's index: allocate both
   TensorData versions, write the MIndex, register the server-side MRs,
   record the client's per-tensor rkeys.
-* DO_CHECKPOINT — stamp the target version ACTIVE, post one one-sided
-  RDMA READ per tensor (concurrently — all tensors of a model pull in
-  parallel), flush, stamp DONE.  Zero serialization, zero staging copies,
-  zero kernel crossings on either side.
+* DO_CHECKPOINT — stamp the target version ACTIVE, pull every tensor
+  with one-sided RDMA READs (segmented into WR-sized work items and
+  striped over the client's QPs, so all tensors of a model pull in
+  parallel), flush, stamp DONE.  Zero serialization, zero staging
+  copies, zero kernel crossings on either side.
 * DO_RESTORE — pick the newest DONE version and push every tensor back
   with one-sided RDMA WRITEs.
 * UNREGISTER — drop the model and free its extents.
+
+DO_CHECKPOINT and DO_RESTORE take one path for every model; the model's
+persistent layout (contiguous version slots, or dedup chunk manifests)
+only decides the work items and the persist/commit/abort steps, through
+a per-operation plan from :mod:`repro.core.plans`.
 
 Each connection is served by its own process and each request by its own
 worker; a per-entry compare-and-swap guard (``busy``) keeps concurrent
@@ -50,16 +56,14 @@ import logging
 from typing import Dict, Generator, List, Optional
 
 from repro.core import protocol
-from repro.core.consistency import (abort_checkpoint, begin_checkpoint,
-                                    checkpoint_at_step, commit_checkpoint,
+from repro.core.consistency import (begin_checkpoint, checkpoint_at_step,
                                     valid_checkpoint)
-from repro.core.dedup import chunk_spans
 from repro.core.engine import (ENGINE_CHUNK_BYTES, IngestLimiter,
-                               LocalCopyEngine, TransferEngine, WorkItem)
+                               TransferEngine)
 from repro.core.group import GroupStore
-from repro.core.index import (FLAG_DONE, ModelMeta, ModelTable,
-                              region_extent)
+from repro.core.index import FLAG_NAMES, TABLE_TAG, ModelMeta, ModelTable
 from repro.core.modelmap import ModelMap
+from repro.core.plans import plan_for
 from repro.dnn.layout import ShardedLayout
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
@@ -72,6 +76,7 @@ from repro.hw.node import CpuSet, StorageNode
 from repro.metrics import CostLedger
 from repro.obs import Observability
 from repro.net.tcp import TcpStack
+from repro.pmem.chunks import ChunkStore
 from repro.pmem.pool import PmemPool
 from repro.sim import AnyOf, Environment
 from repro.units import usecs
@@ -106,7 +111,8 @@ class ModelEntry:
         self.tenant: Optional[str] = None
         self.busy = False  # the compare-and-swap guard
         #: Dedup models: the region's chunk spans (derived once from the
-        #: persisted MIndex — the same cut the client hashes over).
+        #: persisted MIndex — the same cut the client hashes over; see
+        #: :class:`repro.core.plans.ChunkedPlan`).
         self.chunk_spans = None
         self.last_seen_ns = 0
         #: The worker process currently holding the CAS guard, if any —
@@ -193,11 +199,6 @@ class PortusDaemon:
         self.checkpoints_completed = 0
         self.restores_completed = 0
         self.bytes_pulled = 0
-        #: Bytes the completed checkpoints *represent* — for dedup models
-        #: the full region per checkpoint, however few chunk bytes
-        #: actually moved.  ``bytes_pulled / bytes_logical`` is the
-        #: dedup transfer ratio.
-        self.bytes_logical = 0
         self.bytes_pushed = 0
         self.dropped_replies = 0
         self.reaped_sessions = 0
@@ -209,8 +210,6 @@ class PortusDaemon:
     # -- bootstrap / recovery ----------------------------------------------------
 
     def _open_or_create_table(self) -> ModelTable:
-        from repro.core.index import TABLE_TAG
-
         if self.pool.find_by_tag(TABLE_TAG):
             table = ModelTable.open(self.pool)
             self._recover(table)
@@ -523,8 +522,6 @@ class PortusDaemon:
                     2 * sum(spec.size_bytes for spec in specs))
             try:
                 if dedup is not None:
-                    from repro.pmem.chunks import ChunkStore
-
                     chunk_bytes = int(dedup["chunk_bytes"])
                     # The chunk store is pool-wide; first dedup model
                     # formats it and later ones must agree on the chunk
@@ -594,16 +591,6 @@ class PortusDaemon:
                 f"{int(dedup['chunk_bytes'])}, persisted model uses "
                 f"{entry.meta.chunk_bytes}")
 
-    def _dedup_spans(self, entry: ModelEntry):
-        """The region's chunk spans (cached per entry; the MIndex is
-        immutable for the life of the model)."""
-        if entry.chunk_spans is None:
-            descriptors = entry.meta.mindex.descriptors
-            entry.chunk_spans = chunk_spans(descriptors,
-                                            region_extent(descriptors),
-                                            entry.meta.chunk_bytes)
-        return entry.chunk_spans
-
     # -- the datapath engine -------------------------------------------------------
 
     def _engine(self, qps: List, ingest: bool,
@@ -617,7 +604,6 @@ class PortusDaemon:
         """
         return TransferEngine(
             self.env, qps, depth=QP_DEPTH,
-            chunk_bytes=self.engine_chunk_bytes,
             pipelined=self.engine_pipelined,
             largest_first=self.engine_largest_first,
             stream_limit=self._pmem_streams if ingest else None,
@@ -644,271 +630,78 @@ class PortusDaemon:
 
     def _checkpoint_gated(self, message: Dict,
                           entry: ModelEntry) -> Generator:
+        """Stamp the target version ACTIVE, pull, persist, commit.
+
+        The entry's layout plan (:mod:`repro.core.plans`) supplies the
+        work items and the persist/commit/abort steps.  Every failure
+        after the plan's request checks counts as an aborted checkpoint,
+        and on a live pool the plan rolls the ACTIVE version back.
+        """
         name = message["model"]
         step = message["step"]
-        dirty = message.get("dirty")
-        if entry.meta.dedup:
-            return (yield from self._handle_checkpoint_dedup(message, entry))
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to pull from")
+        trace_id = protocol.trace_of(message)
+        plan = plan_for(self, entry, trace_id)
         self._claim(entry)
         # Pin the stripe set: a re-attach mid-pull must not redirect us.
         qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
         started = self.env.now
         try:
+            plan.prepare_checkpoint(message)
             flags_before = entry.meta.read_flags()
-            previous = flags_before.newest_done()
-            with self.obs.tracer.span(self.env, "ckpt.begin", cat="ckpt",
-                                      trace_id=trace_id, track="daemon",
-                                      model=name):
-                target = begin_checkpoint(entry.meta)
-            region_mr = entry.version_mrs[target]
-            pairs = list(zip(entry.meta.mindex.descriptors,
-                             entry.client_tensors))
-            prefilled = 0
-            if dirty is not None and previous is not None:
-                dirty_set = set(dirty)
-                clean = [d for d, _c in pairs if d.name not in dirty_set]
-                pairs = [(d, c) for d, c in pairs if d.name in dirty_set]
-                with self.obs.tracer.span(self.env, "ckpt.local_copy",
-                                          cat="ckpt", trace_id=trace_id,
-                                          track="daemon", model=name,
-                                          tensors=len(clean)):
-                    prefilled = yield from self._copy_clean_tensors(
-                        entry, previous, target, clean)
             # The engine charges PER_WQE_CPU_NS per WR actually posted —
-            # an incremental pull pays for its dirty subset (and its
-            # segmentation), not the whole layer count.
+            # an incremental or dedup pull pays for the bytes it moves
+            # (and their segmentation), not the whole layer count.
             engine = self._engine(qps, ingest=True, trace_id=trace_id)
-            try:
-                pulled = yield from engine.pull(region_mr, pairs,
-                                                f"pull:{name}")
-            except ReproError:
-                # The engine aborted the stripe set (every QP flushed —
-                # in-flight reads must not land their now-stale bytes in
-                # a slot the next checkpoint may claim); abort() again
-                # is a no-op, kept for the non-engine error paths.
-                engine.abort()
-                self._count("checkpoints_aborted")
-                if not self.pool.closed:
-                    # Any byte already landed in the target slot — the
-                    # incremental prefill or a completed pull WR — makes
-                    # the slot torn at its old step: invalidate it
-                    # rather than roll back to DONE (the torn-slot bug).
-                    data_dirty = (prefilled > 0
-                                  or engine.bytes_landed > 0)
-                    if data_dirty:
-                        self.obs.metrics.counter(
-                            "daemon.checkpoints_aborted_dirty").inc()
-                    abort_checkpoint(entry.meta, target,
-                                     data_dirty=data_dirty)
-                raise
-            if self.pool.closed:
-                # The server lost power mid-pull: this daemon instance is
-                # gone; the target slot stays ACTIVE on the (recovered)
-                # pool and will never be trusted by a restore.
-                raise PortusError(
-                    f"{name}: server crashed during checkpoint")
-            with self.obs.tracer.span(self.env, "ckpt.persist_commit",
-                                      cat="ckpt", trace_id=trace_id,
-                                      track="daemon", model=name):
-                entry.meta.data_region(target).persist()
-                yield self.env.timeout(FLUSH_BARRIER_NS)
-                commit_checkpoint(entry.meta, target, step)
-        finally:
-            self._release(entry)
-        duration = self.env.now - started
-        self.ledger.add("rdma_pull", duration)
-        self.checkpoints_completed += 1
-        self.bytes_pulled += pulled
-        self._count("checkpoints_completed")
-        self.obs.metrics.counter("daemon.bytes_pulled").inc(pulled)
-        self.obs.metrics.histogram(
-            "daemon.checkpoint_latency_ns").record(duration)
-        return protocol.reply(protocol.OP_CHECKPOINT_DONE, model=name,
-                              step=step, version=target,
-                              duration_ns=duration, bytes_pulled=pulled)
-
-    def _handle_checkpoint_dedup(self, message: Dict,
-                                 entry: ModelEntry) -> Generator:
-        """Dedup checkpoint: pull only the chunks absent from the store.
-
-        Crash-safe ordering (every window leak-only, verified by the
-        crash-point sweep):
-
-        1. begin_checkpoint stamps the target slot ACTIVE;
-        2. missing chunks are pulled into freshly reserved extents and
-           persisted — committed-but-unindexed extents, reclaimed by
-           fsck's leak scan on a crash;
-        3. ``ChunkStore.apply`` commits the whole reference delta (new
-           entries + shared-chunk increments) in ONE record write;
-        4. the target manifest record is written, the slot committed
-           DONE;
-        5. only then is the overwritten version's old manifest
-           unreferenced — and only if the slot was DONE *before* the
-           begin (a non-DONE slot's references were never certainly
-           counted; dropping them could over-free a shared chunk).
-        """
-        from repro.pmem.chunks import ChunkStore
-
-        name = message["model"]
-        step = message["step"]
-        manifest = message.get("manifest")
-        if manifest is None:
-            raise ProtocolError(
-                f"{name}: dedup model checkpoints need a chunk manifest")
-        if not entry.attached:
-            raise NotAttached(f"{name}: no attached client to pull from")
-        self._claim(entry)
-        qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
-        started = self.env.now
-        new_extents = []  # (digest, extent, mr) reserved this checkpoint
-        applied = False
-        try:
-            store = ChunkStore.ensure(self.pool,
-                                      chunk_bytes=entry.meta.chunk_bytes)
-            spans = self._dedup_spans(entry)
-            if len(manifest) != len(spans):
-                raise ProtocolError(
-                    f"{name}: manifest carries {len(manifest)} digests, "
-                    f"the region has {len(spans)} chunks")
-            clients = {c["name"]: c for c in entry.client_tensors}
-            flags_before = entry.meta.read_flags()
-            was_done = None
             target = None
             try:
-                with self.obs.tracer.span(self.env, "ckpt.begin",
-                                          cat="ckpt", trace_id=trace_id,
-                                          track="daemon", model=name):
+                with self.obs.tracer.span(self.env, "ckpt.begin", cat="ckpt",
+                                          trace_id=trace_id, track="daemon",
+                                          model=name):
                     target = begin_checkpoint(entry.meta)
-                was_done = flags_before.states[target] == FLAG_DONE
-                old_manifest = (entry.meta.read_manifest(target)
-                                if was_done else [])
-                counts: Dict[bytes, int] = {}
-                for digest in manifest:
-                    counts[digest] = counts.get(digest, 0) + 1
-                missing = []  # (digest, span), region order, unique
-                seen = set()
-                for digest, span in zip(manifest, spans):
-                    if digest in seen:
-                        continue
-                    seen.add(digest)
-                    if store.lookup(digest) is None:
-                        missing.append((digest, span))
-                new_set = {digest for digest, _span in missing}
-                items = []
-                for digest, span in missing:
-                    extent = store.alloc_chunk(digest, span.size)
-                    mr = yield from self.node.nic.register_mr(extent)
-                    new_extents.append((digest, extent, mr))
-                    label = digest.hex()[:8]
-                    for piece in span.pieces:
-                        client = clients[piece.tensor]
-                        done = 0
-                        while done < piece.length:
-                            length = piece.length - done
-                            if self.engine_chunk_bytes is not None:
-                                length = min(length, self.engine_chunk_bytes)
-                            items.append(WorkItem(
-                                f"{label}:{piece.tensor}",
-                                piece.span_offset + done,
-                                client["addr"] + piece.tensor_offset + done,
-                                client["rkey"], length, mr=mr))
-                            done += length
-                pulled = 0
-                if items:
-                    engine = self._engine(qps, ingest=True,
-                                          trace_id=trace_id)
-                    try:
-                        pulled = yield from engine.pull_items(
-                            items, f"pull:{name}")
-                    except ReproError:
-                        engine.abort()
-                        raise
+                items = yield from plan.checkpoint_items(message, flags_before,
+                                                         target)
+                pulled = yield from engine.pull(items, f"pull:{name}")
                 if self.pool.closed:
+                    # The server lost power mid-pull: this daemon instance
+                    # is gone; the target slot stays ACTIVE on the
+                    # (recovered) pool and will never be trusted by a
+                    # restore.
                     raise PortusError(
                         f"{name}: server crashed during checkpoint")
                 with self.obs.tracer.span(self.env, "ckpt.persist_commit",
                                           cat="ckpt", trace_id=trace_id,
                                           track="daemon", model=name):
-                    for _digest, extent, _mr in new_extents:
-                        extent.persist()
+                    plan.persist(target)
                     yield self.env.timeout(FLUSH_BARRIER_NS)
-                    store.apply(
-                        [(digest, extent, counts[digest])
-                         for digest, extent, _mr in new_extents],
-                        {digest: count for digest, count in counts.items()
-                         if digest not in new_set})
-                    applied = True
-                    entry.meta.write_manifest(target, manifest)
-                    commit_checkpoint(entry.meta, target, step)
-                if was_done and old_manifest:
-                    store.unref(old_manifest)
+                    plan.commit(target, step)
             except ReproError:
+                # A failed engine has already flushed the whole stripe
+                # set, so no in-flight read can land stale bytes in a
+                # slot the next checkpoint may claim.
                 self._count("checkpoints_aborted")
-                if not self.pool.closed and target is not None \
-                        and not applied:
-                    # The target slot's manifest is untouched and the new
-                    # chunks are still private (no ChunkTable entry), so
-                    # the slot rolls back clean and the reserved extents
-                    # are simply released.
-                    abort_checkpoint(entry.meta, target, data_dirty=False)
-                    for _digest, extent, mr in new_extents:
-                        if mr.valid:
-                            self.node.nic.deregister_mr(mr)
-                        self.pool.free(extent)
-                    new_extents = []
+                if target is not None and not self.pool.closed:
+                    plan.abort(target, engine.bytes_landed)
                 raise
         finally:
-            for _digest, _extent, mr in new_extents:
-                if mr.valid:
-                    self.node.nic.deregister_mr(mr)
+            plan.release()
             self._release(entry)
         duration = self.env.now - started
+        fields = plan.reply_fields()
         self.ledger.add("rdma_pull", duration)
-        logical = entry.meta.mindex.total_bytes
-        chunks_new = len(new_extents)
-        chunks_shared = len(manifest) - sum(
-            counts[digest] for digest, _e, _m in new_extents)
         self.checkpoints_completed += 1
         self.bytes_pulled += pulled
-        self.bytes_logical += logical
         self._count("checkpoints_completed")
         self.obs.metrics.counter("daemon.bytes_pulled").inc(pulled)
-        self.obs.metrics.counter("daemon.bytes_logical").inc(logical)
-        self.obs.metrics.counter("daemon.chunks_new").inc(chunks_new)
-        self.obs.metrics.counter("daemon.chunks_shared").inc(chunks_shared)
+        for field, value in fields.items():
+            self.obs.metrics.counter(f"daemon.{field}").inc(value)
         self.obs.metrics.histogram(
             "daemon.checkpoint_latency_ns").record(duration)
         return protocol.reply(protocol.OP_CHECKPOINT_DONE, model=name,
                               step=step, version=target,
                               duration_ns=duration, bytes_pulled=pulled,
-                              bytes_logical=logical, chunks_new=chunks_new,
-                              chunks_shared=chunks_shared)
-
-    def _copy_clean_tensors(self, entry: ModelEntry, source: int,
-                            target: int, descriptors) -> Generator:
-        """Incremental mode: complete the new version by copying the
-        unchanged tensors from the previous DONE version — a local
-        PMem-to-PMem move, no network involved.  Returns the bytes
-        actually written into the target region (the abort path's
-        data-dirty signal: an interrupt during the simulated move lands
-        nothing, so the slot is still clean)."""
-        total = sum(d.size for d in descriptors)
-        if total == 0:
-            return 0
-        copier = LocalCopyEngine(self.env, self.pool.device,
-                                 chunk_bytes=self.engine_chunk_bytes)
-        yield from copier.move(total, label="incremental-local-copy")
-        source_region = entry.meta.data_region(source)
-        target_region = entry.meta.data_region(target)
-        for descriptor in descriptors:
-            content = source_region.read(descriptor.offset,
-                                         descriptor.size)
-            target_region.write(descriptor.offset, content)
-        return total
+                              **fields)
 
     # -- DO_RESTORE -----------------------------------------------------------------------
 
@@ -925,121 +718,30 @@ class PortusDaemon:
     def _handle_restore(self, message: Dict) -> Generator:
         name = message["model"]
         entry = self._entry(name)
-        if entry.meta.dedup:
-            return (yield from self._handle_restore_dedup(message, entry))
         if not entry.attached:
             raise NotAttached(f"{name}: no attached client to push to")
+        trace_id = protocol.trace_of(message)
+        plan = plan_for(self, entry, trace_id)
         self._claim(entry)
         qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
         started = self.env.now
         try:
             version, step = self._restore_version(entry, message)
-            region_mr = entry.version_mrs[version]
-            pairs = list(zip(entry.meta.mindex.descriptors,
-                             entry.client_tensors))
+            items = yield from plan.restore_items(version)
             engine = self._engine(qps, ingest=False, trace_id=trace_id)
             try:
-                pushed = yield from engine.push(region_mr, pairs,
-                                                f"push:{name}")
+                pushed = yield from engine.push(items, f"push:{name}")
             except ReproError:
                 # A restore mutates nothing on PMem; the engine already
                 # retired the in-flight WRs on every QP of the stripe
                 # set so they cannot write stale bytes into the client
                 # after it re-attaches and retries.
-                engine.abort()
                 self._count("restores_aborted")
                 raise
             if self.pool.closed:
                 raise PortusError(f"{name}: server crashed during restore")
         finally:
-            self._release(entry)
-        duration = self.env.now - started
-        self.ledger.add("rdma_push", duration)
-        self.restores_completed += 1
-        self.bytes_pushed += pushed
-        self._count("restores_completed")
-        self.obs.metrics.counter("daemon.bytes_pushed").inc(pushed)
-        self.obs.metrics.histogram(
-            "daemon.restore_latency_ns").record(duration)
-        return protocol.reply(protocol.OP_RESTORE_DONE, model=name,
-                              step=step, version=version,
-                              duration_ns=duration, bytes_pushed=pushed)
-
-    def _handle_restore_dedup(self, message: Dict,
-                              entry: ModelEntry) -> Generator:
-        """Dedup restore: reassemble the newest DONE version from the
-        chunk store and push it back — bit-exact, straight from the
-        shared extents (ephemeral per-chunk MRs, one stripe set)."""
-        from repro.pmem.chunks import ChunkStore
-
-        name = message["model"]
-        if not entry.attached:
-            raise NotAttached(f"{name}: no attached client to push to")
-        self._claim(entry)
-        qps = list(entry.qps)
-        trace_id = protocol.trace_of(message)
-        started = self.env.now
-        mrs = []
-        try:
-            store = ChunkStore.attach(self.pool)
-            if store is None:
-                raise PortusError(
-                    f"{name}: dedup model but the pool has no chunk store")
-            version, step = self._restore_version(entry, message)
-            manifest = entry.meta.read_manifest(version)
-            spans = self._dedup_spans(entry)
-            if len(manifest) != len(spans):
-                raise PortusError(
-                    f"{name}: version {version} manifest carries "
-                    f"{len(manifest)} digests, the region has "
-                    f"{len(spans)} chunks")
-            clients = {c["name"]: c for c in entry.client_tensors}
-            mr_by_digest: Dict[bytes, object] = {}
-            items = []
-            for digest, span in zip(manifest, spans):
-                if not span.pieces:
-                    continue
-                mr = mr_by_digest.get(digest)
-                if mr is None:
-                    chunk_entry = store.lookup(digest)
-                    if chunk_entry is None:
-                        raise PortusError(
-                            f"{name}: chunk {digest.hex()[:12]} missing "
-                            f"from the store")
-                    allocation = store.allocation_of(chunk_entry)
-                    mr = yield from self.node.nic.register_mr(allocation)
-                    mr_by_digest[digest] = mr
-                    mrs.append(mr)
-                label = digest.hex()[:8]
-                for piece in span.pieces:
-                    client = clients[piece.tensor]
-                    done = 0
-                    while done < piece.length:
-                        length = piece.length - done
-                        if self.engine_chunk_bytes is not None:
-                            length = min(length, self.engine_chunk_bytes)
-                        items.append(WorkItem(
-                            f"{label}:{piece.tensor}",
-                            piece.span_offset + done,
-                            client["addr"] + piece.tensor_offset + done,
-                            client["rkey"], length, mr=mr))
-                        done += length
-            engine = self._engine(qps, ingest=False, trace_id=trace_id)
-            try:
-                pushed = yield from engine.push_items(items, f"push:{name}")
-            except ReproError:
-                # A restore mutates nothing on PMem; flush the stripe set
-                # so late WRs cannot land stale bytes post-reattach.
-                engine.abort()
-                self._count("restores_aborted")
-                raise
-            if self.pool.closed:
-                raise PortusError(f"{name}: server crashed during restore")
-        finally:
-            for mr in mrs:
-                if mr.valid:
-                    self.node.nic.deregister_mr(mr)
+            plan.release()
             self._release(entry)
         duration = self.env.now - started
         self.ledger.add("rdma_push", duration)
@@ -1237,8 +939,6 @@ class PortusDaemon:
 
     def _handle_list(self, message: Dict) -> Generator:
         """Network-facing inventory (what portusctl shows offline)."""
-        from repro.core.index import FLAG_NAMES
-
         rows = []
         for name, entry in self.model_map.items():
             flags = entry.meta.read_flags()

@@ -9,10 +9,11 @@ restore pushes, and repacking's local moves:
   WRs in flight; the moment a completion returns a credit the next WR is
   posted.  No barrier: a straggler tensor no longer idles the other
   slots of its window.
-* **Multi-QP striping** — the tensor list is sharded across the QPs the
-  client registered (``num_qps`` is negotiated at REGISTER time), and
-  tensors larger than ``chunk_bytes`` are segmented so one huge GPT
-  tensor parallelizes across lanes instead of serializing on one WR.
+* **Multi-QP striping** — the work items are sharded across the QPs the
+  client registered (``num_qps`` is negotiated at REGISTER time);
+  :func:`build_items` segments ranges larger than ``chunk_bytes`` so one
+  huge GPT tensor parallelizes across lanes instead of serializing on
+  one WR.
 * **Largest-first scheduling** — items are posted in decreasing size
   (LPT order) and striped onto the least-loaded lane, so the long tail
   of a skewed tensor-size distribution cannot become the straggler.
@@ -51,18 +52,18 @@ ENGINE_CHUNK_BYTES = mib(4)
 
 
 class WorkItem:
-    """One WR to post: a whole tensor or a segment of one.
+    """One WR to post: a byte range of the local *mr* and its remote twin.
 
-    *mr* optionally overrides the operation-wide local MR: the dedup
-    datapath pulls each missing chunk into its own extent's MR while
-    sibling items target other extents, all within one stripe set.
+    Every item names its own MR, so one stripe set can mix targets: the
+    contiguous layout points every item at the version slot's MR, the
+    chunked layout points each item at its chunk extent's MR.
     """
 
     __slots__ = ("name", "local_offset", "remote_addr", "rkey", "size",
                  "mr")
 
     def __init__(self, name: str, local_offset: int, remote_addr: int,
-                 rkey: int, size: int, mr=None) -> None:
+                 rkey: int, size: int, mr) -> None:
         self.name = name
         self.local_offset = local_offset
         self.remote_addr = remote_addr
@@ -75,27 +76,32 @@ class WorkItem:
                f"{self.size}B>"
 
 
-def build_items(pairs, chunk_bytes: Optional[int]) -> List[WorkItem]:
-    """Expand (descriptor, client) pairs into WR-sized work items.
+def build_items(units, chunk_bytes: Optional[int],
+                numbered: bool = True) -> List[WorkItem]:
+    """Expand transfer units into WR-sized work items.
 
-    Tensors larger than *chunk_bytes* are segmented; ``None`` disables
-    segmentation (one WR per tensor, the seed behaviour).
+    A unit is ``(name, local_offset, remote_addr, rkey, size, mr)``, the
+    :class:`WorkItem` fields.  Units larger than *chunk_bytes* are
+    segmented; ``None`` disables segmentation.  ``numbered`` units are
+    whole tensors: segment *k* is labelled ``name#k``, and an empty
+    tensor still posts one zero-byte WR (one WR per tensor, the seed's
+    datapath).  Otherwise the units are chunk pieces: every segment keeps
+    the unit's label and an empty piece posts nothing.
     """
     items = []
-    for descriptor, client in pairs:
-        size = descriptor.size
+    for name, local_offset, remote_addr, rkey, size, mr in units:
         if chunk_bytes is None or size <= chunk_bytes:
-            items.append(WorkItem(descriptor.name, descriptor.offset,
-                                  client["addr"], client["rkey"], size))
+            if size or numbered:
+                items.append(WorkItem(name, local_offset, remote_addr,
+                                      rkey, size, mr))
             continue
         done = 0
         part = 0
         while done < size:
             length = min(chunk_bytes, size - done)
-            items.append(WorkItem(f"{descriptor.name}#{part}",
-                                  descriptor.offset + done,
-                                  client["addr"] + done,
-                                  client["rkey"], length))
+            items.append(WorkItem(f"{name}#{part}" if numbered else name,
+                                  local_offset + done, remote_addr + done,
+                                  rkey, length, mr))
             done += length
             part += 1
     return items
@@ -267,17 +273,19 @@ class TransferEngine:
     """Drives one pull or push across a stripe set of QPs.
 
     One instance per operation: construct, call :meth:`pull` or
-    :meth:`push` (process generators), read the counters.  ``depth`` is
-    the per-QP credit count; ``pipelined=False`` reproduces the seed's
+    :meth:`push` (process generators) with pre-built work items (see
+    :func:`build_items`), read the counters.  ``depth`` is the per-QP
+    credit count; ``pipelined=False`` reproduces the seed's
     barrier-window posting (kept for the engine ablation benchmarks).
-    ``stream_limit`` is a shared :class:`repro.sim.Resource` bounding
-    total in-flight WRs across every concurrent operation (the PMem
-    ingest cap); ``wqe_cost`` is charged once per posted WR (a generator
-    function — the daemon passes its worker CpuSet).
+    ``stream_limit`` is a shared :class:`IngestLimiter` bounding total
+    in-flight WRs across every concurrent operation (the PMem ingest
+    cap); ``wqe_cost`` is charged once per posted WR (a generator
+    function — the daemon passes its worker CpuSet).  A failed or
+    interrupted operation has already aborted the stripe set when it
+    raises.
     """
 
     def __init__(self, env: Environment, qps: Sequence, depth: int,
-                 chunk_bytes: Optional[int] = ENGINE_CHUNK_BYTES,
                  pipelined: bool = True, largest_first: bool = True,
                  stream_limit=None,
                  wqe_cost: Optional[Callable[[], Generator]] = None,
@@ -290,7 +298,6 @@ class TransferEngine:
         self.env = env
         self.qps = list(qps)
         self.depth = depth
-        self.chunk_bytes = chunk_bytes
         self.pipelined = pipelined
         self.largest_first = largest_first
         self.stream_limit = stream_limit
@@ -314,31 +321,15 @@ class TransferEngine:
 
     # -- public operations -------------------------------------------------------
 
-    def pull(self, region_mr, pairs, label_prefix: str) -> Generator:
-        """Process: RDMA-READ every (descriptor, client) pair into
-        *region_mr*; returns the bytes pulled."""
-        return (yield from self._run("read", region_mr, pairs,
-                                     label_prefix))
+    def pull(self, items: List[WorkItem], label_prefix: str) -> Generator:
+        """Process: RDMA-READ every work item into its local MR; returns
+        the bytes pulled."""
+        return (yield from self._run("read", items, label_prefix))
 
-    def push(self, region_mr, pairs, label_prefix: str) -> Generator:
-        """Process: RDMA-WRITE every pair from *region_mr* to the
-        client; returns the bytes pushed."""
-        return (yield from self._run("write", region_mr, pairs,
-                                     label_prefix))
-
-    def pull_items(self, items: List[WorkItem],
-                   label_prefix: str) -> Generator:
-        """Process: RDMA-READ pre-built work items (each carrying its
-        own local MR); returns the bytes pulled."""
-        return (yield from self._run("read", None, None, label_prefix,
-                                     items=items))
-
-    def push_items(self, items: List[WorkItem],
-                   label_prefix: str) -> Generator:
-        """Process: RDMA-WRITE pre-built work items (each carrying its
-        own local MR); returns the bytes pushed."""
-        return (yield from self._run("write", None, None, label_prefix,
-                                     items=items))
+    def push(self, items: List[WorkItem], label_prefix: str) -> Generator:
+        """Process: RDMA-WRITE every work item from its local MR to the
+        remote side; returns the bytes pushed."""
+        return (yield from self._run("write", items, label_prefix))
 
     def abort(self) -> None:
         """Stop posting and flush every QP of the stripe set.
@@ -354,10 +345,8 @@ class TransferEngine:
 
     # -- core --------------------------------------------------------------------
 
-    def _run(self, kind: str, region_mr, pairs, label_prefix: str,
-             items: Optional[List[WorkItem]] = None) -> Generator:
-        if items is None:
-            items = build_items(pairs, self.chunk_bytes)
+    def _run(self, kind: str, items: List[WorkItem],
+             label_prefix: str) -> Generator:
         if not items:
             return 0
         queues = stripe_items(items, len(self.qps), self.largest_first)
@@ -368,8 +357,8 @@ class TransferEngine:
             items=len(items), lanes=sum(1 for q in queues if q),
             op=label_prefix)
         lanes = [
-            self.env.process(lane_fn(kind, qp, deque(queue), region_mr,
-                                     label_prefix, index, span),
+            self.env.process(lane_fn(kind, qp, deque(queue), label_prefix,
+                                     index, span),
                              name=f"engine-{kind}-lane{index}")
             for index, (qp, queue) in enumerate(zip(self.qps, queues))
             if queue
@@ -392,12 +381,10 @@ class TransferEngine:
             raise self._first_error
         return self.bytes_moved
 
-    def _post(self, kind: str, qp, item: WorkItem, region_mr,
-              label_prefix: str):
+    def _post(self, kind: str, qp, item: WorkItem, label_prefix: str):
         verb = qp.read if kind == "read" else qp.write
         self.posted_wrs += 1
-        local_mr = item.mr if item.mr is not None else region_mr
-        event = verb(local_mr, item.local_offset, item.rkey,
+        event = verb(item.mr, item.local_offset, item.rkey,
                      item.remote_addr, item.size,
                      label=f"{label_prefix}:{item.name}")
         # The lane's wake only notes that a WR settled, often while the
@@ -407,9 +394,8 @@ class TransferEngine:
         event.defuse()
         return event
 
-    def _lane(self, kind: str, qp, queue, region_mr,
-              label_prefix: str, index: int = 0,
-              parent=None) -> Generator:
+    def _lane(self, kind: str, qp, queue, label_prefix: str,
+              index: int = 0, parent=None) -> Generator:
         """Safe process: sliding-window posting on one QP.
 
         Never fails — the first WR error is recorded, the stripe set
@@ -455,8 +441,7 @@ class TransferEngine:
                             self.stream_limit.release(token)
                         break
                     item = queue.popleft()
-                    event = self._post(kind, qp, item, region_mr,
-                                       label_prefix)
+                    event = self._post(kind, qp, item, label_prefix)
                     lane.watch(event)
                     wr_span = tracer.span(
                         self.env, wr_name, cat="wr",
@@ -484,9 +469,8 @@ class TransferEngine:
             self._drain(inflight)
             lane_span.finish(posted=posted, aborted=self._aborted)
 
-    def _lane_barrier(self, kind: str, qp, queue, region_mr,
-                      label_prefix: str, index: int = 0,
-                      parent=None) -> Generator:
+    def _lane_barrier(self, kind: str, qp, queue, label_prefix: str,
+                      index: int = 0, parent=None) -> Generator:
         """Safe process: the seed's barrier-window posting on one QP.
 
         Completions are retired mid-window only to recycle stream
@@ -527,8 +511,7 @@ class TransferEngine:
                             self.stream_limit.release(token)
                         break
                     item = window.popleft()
-                    event = self._post(kind, qp, item, region_mr,
-                                       label_prefix)
+                    event = self._post(kind, qp, item, label_prefix)
                     lane.watch(event)
                     wr_span = tracer.span(
                         self.env, wr_name, cat="wr",

@@ -25,7 +25,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.dnn.tensor import TensorSpec
 from repro.dnn.dtypes import DType
 from repro.errors import ModelNotFound, PmemError, PortusError
+from repro.hw.content import concat
 from repro.hw.device import Allocation
+from repro.pmem.chunks import ChunkStore
 from repro.pmem.layout import CommittedRecord, blob_capacity
 from repro.pmem.pool import PmemPool
 
@@ -501,8 +503,6 @@ class ModelMeta:
         return reclaimed
 
     def _drop_version_dedup(self, version: int) -> int:
-        from repro.pmem.chunks import ChunkStore
-
         digests = self.read_manifest(version)
         flags = self.read_flags()
         was_done = flags.states[version] == FLAG_DONE
@@ -572,9 +572,6 @@ class ModelMeta:
                                                descriptor.size)
 
     def _read_tensor_dedup(self, descriptor: TensorDescriptor, version: int):
-        from repro.hw.content import concat
-        from repro.pmem.chunks import ChunkStore
-
         store = ChunkStore.attach(self.pool)
         if store is None:
             raise PmemError(

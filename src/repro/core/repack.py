@@ -24,7 +24,7 @@ from typing import Generator, List, Optional
 
 from repro.core.consistency import (abort_checkpoint, begin_checkpoint,
                                     commit_checkpoint, valid_checkpoint)
-from repro.core.engine import LocalCopyEngine
+from repro.core.engine import LocalCopyEngine, TransferEngine, build_items
 from repro.core.index import ModelMeta, ModelTable
 from repro.errors import (DedupMigrationUnsupported, ModelAlreadyRegistered,
                           ModelNotFound, PortusError)
@@ -226,7 +226,6 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
     """
     from repro.core.daemon import (FLUSH_BARRIER_NS, ModelEntry,
                                    QP_DEPTH)
-    from repro.core.engine import TransferEngine
 
     obs = obs if obs is not None else Observability()
     entry = src_daemon.model_map.get(name)
@@ -265,23 +264,19 @@ def migrate_model(env: Environment, src_daemon, dst_daemon, name: str,
                 env, dst_daemon.node.nic, src_daemon.node.nic)
             qps = [dst_qp, src_qp]
             # Same layout on both pools, so each descriptor's offset is
-            # valid in either region; the "client" side of each pair is
+            # valid in either region; the remote side of each item is
             # the source server's MR.
-            pairs = [(d, {"addr": src_mr.addr + d.offset,
-                          "rkey": src_mr.rkey}) for d in descriptors]
+            items = build_items(
+                [(d.name, d.offset, src_mr.addr + d.offset, src_mr.rkey,
+                  d.size, dst_mr) for d in descriptors],
+                dst_daemon.engine_chunk_bytes)
             engine = TransferEngine(
                 env, [dst_qp], depth=QP_DEPTH,
-                chunk_bytes=dst_daemon.engine_chunk_bytes,
                 pipelined=dst_daemon.engine_pipelined,
                 largest_first=dst_daemon.engine_largest_first,
                 stream_limit=dst_daemon._pmem_streams,
                 obs=obs)
-            try:
-                moved = yield from engine.pull(dst_mr, pairs,
-                                               f"migrate:{name}")
-            except BaseException:
-                engine.abort()
-                raise
+            moved = yield from engine.pull(items, f"migrate:{name}")
             if dst_daemon.pool.closed or src_daemon.pool.closed:
                 raise PortusError(
                     f"{name}: a pool died during migration")

@@ -37,6 +37,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import InvalidAddressError, PmemError, ReproError
+from repro.pmem.chunks import CHUNK_TABLE_TAG, CHUNK_TAG, ChunkStore
 from repro.pmem.layout import CommittedRecord
 from repro.pmem.pool import PmemPool, _SUPER_SLOT
 
@@ -234,7 +235,6 @@ def fsck(pool: PmemPool, obs=None) -> FsckReport:
     from repro.core.index import (DATA_TAG, FLAG_ACTIVE, FLAG_DONE,
                                   META_TAG, TABLE_TAG, ModelMeta,
                                   ModelTable, VersionFlags, layout_tensors)
-    from repro.pmem.chunks import CHUNK_TAG, ChunkStore
 
     if pool.closed:
         raise PmemError("fsck needs an open pool")
@@ -547,8 +547,6 @@ def _demote_dedup(meta, version: int) -> None:
 def _free_chunk_table(pool) -> None:
     """Reclaim an unreadable ChunkTable extent (pre-first-commit crash:
     no chunk was ever stored behind it)."""
-    from repro.pmem.chunks import CHUNK_TABLE_TAG
-
     for allocation in pool.find_by_tag(CHUNK_TABLE_TAG):
         pool.free(allocation)
     pool.__dict__.pop("_chunk_store", None)

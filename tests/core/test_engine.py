@@ -9,8 +9,6 @@ fields, REGISTER negotiation) is tested end to end through
 :class:`PaperCluster`.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core import protocol
@@ -24,16 +22,14 @@ from repro.sim import Transfer
 from repro.units import kib, mib
 
 
-def _pairs(sizes):
-    """Synthetic (descriptor, client) pairs with packed offsets."""
-    pairs = []
+def _units(sizes, mr="mr"):
+    """Synthetic whole-tensor transfer units with packed offsets."""
+    units = []
     offset = 0
     for index, size in enumerate(sizes):
-        descriptor = SimpleNamespace(name=f"t{index}", offset=offset,
-                                     size=size)
-        pairs.append((descriptor, {"addr": 0x1000 + offset, "rkey": 1}))
+        units.append((f"t{index}", offset, 0x1000 + offset, 1, size, mr))
         offset += size
-    return pairs
+    return units
 
 
 # -- build_items ---------------------------------------------------------------
@@ -41,33 +37,50 @@ def _pairs(sizes):
 
 def test_build_items_segments_large_tensors():
     chunk = kib(64)
-    pairs = _pairs([kib(64) * 3 + 5, kib(64), 17])
-    items = build_items(pairs, chunk)
-    # t0 -> 4 parts (3 full + 5 B tail), t1 and t2 whole.
+    units = _units([kib(64) * 3 + 5, kib(64), 17, 0])
+    items = build_items(units, chunk)
+    # t0 -> 4 parts (3 full + 5 B tail), t1 and t2 whole, and the empty
+    # t3 still posts its one (zero-byte) WR.
     assert [item.name for item in items] == \
-        ["t0#0", "t0#1", "t0#2", "t0#3", "t1", "t2"]
-    assert sum(item.size for item in items) == sum(d.size
-                                                   for d, _c in pairs)
+        ["t0#0", "t0#1", "t0#2", "t0#3", "t1", "t2", "t3"]
+    assert items[-1].size == 0
+    assert sum(item.size for item in items) == sum(u[4] for u in units)
+    assert {item.mr for item in items} == {"mr"}
     # Segments tile the tensor contiguously on both sides.
     parts = items[:4]
     for previous, part in zip(parts, parts[1:]):
         assert part.local_offset == previous.local_offset + previous.size
         assert part.remote_addr == previous.remote_addr + previous.size
     assert parts[-1].size == 5
+    # Chunk pieces (the dedup layout): a piece past the segment size
+    # keeps its ``digest8:tensor`` label on every segment, each item
+    # targets its own chunk's MR, and an empty piece posts nothing.
+    pieces = [("0a1b2c3d:w", 0, 0x9000, 7, chunk + 3, "mr-a"),
+              ("0a1b2c3d:b", chunk + 3, 0x20000, 8, 0, "mr-a"),
+              ("4e5f6a7b:w", 0, 0x9000 + chunk + 3, 7, 40, "mr-b")]
+    items = build_items(pieces, chunk, numbered=False)
+    assert [(item.name, item.size, item.mr) for item in items] == [
+        ("0a1b2c3d:w", chunk, "mr-a"), ("0a1b2c3d:w", 3, "mr-a"),
+        ("4e5f6a7b:w", 40, "mr-b")]
+    assert items[1].local_offset == chunk
+    assert items[1].remote_addr == 0x9000 + chunk
 
 
 def test_build_items_none_disables_segmentation():
-    pairs = _pairs([mib(64), kib(1)])
-    items = build_items(pairs, None)
+    units = _units([mib(64), kib(1)])
+    items = build_items(units, None)
     assert [item.size for item in items] == [mib(64), kib(1)]
     assert [item.name for item in items] == ["t0", "t1"]
+    pieces = build_items([("d:t", 0, 0, 1, mib(64), "mr"),
+                          ("d:e", 0, 0, 1, 0, "mr")], None, numbered=False)
+    assert [(item.name, item.size) for item in pieces] == [("d:t", mib(64))]
 
 
 # -- stripe_items --------------------------------------------------------------
 
 
 def test_stripe_items_lpt_balances_bytes():
-    items = build_items(_pairs([100, 90, 80, 30, 20, 10, 10]), None)
+    items = build_items(_units([100, 90, 80, 30, 20, 10, 10]), None)
     queues = stripe_items(items, 3)
     loads = [sum(item.size for item in queue) for queue in queues]
     # LPT on this multiset: 100+10+10, 90+20, 80+30.
@@ -79,7 +92,7 @@ def test_stripe_items_lpt_balances_bytes():
 
 
 def test_stripe_items_is_deterministic_on_ties():
-    items = build_items(_pairs([64] * 8), None)
+    items = build_items(_units([64] * 8), None)
     first = stripe_items(items, 3)
     second = stripe_items(items, 3)
     assert [[i.name for i in q] for q in first] == \
@@ -145,32 +158,33 @@ class _Rig:
             region = cluster.server.pmem_devdax.alloc(total, tag="rig")
             region_mr = yield from cluster.server.nic.register_mr(region)
             gpu = cluster.volta.gpus[0]
-            pairs = []
+            units = []
             offset = 0
             for index, size in enumerate(sizes):
                 src = gpu.alloc(size, tag=f"rig-t{index}")
                 mr = yield from cluster.volta.nic.register_mr(src)
-                descriptor = SimpleNamespace(name=f"t{index}",
-                                             offset=offset, size=size)
-                pairs.append((descriptor, {"addr": mr.addr,
-                                           "rkey": mr.rkey}))
+                units.append((f"t{index}", offset, mr.addr, mr.rkey, size,
+                              region_mr))
                 offset += size
             server_qps = []
             for _lane in range(num_qps):
                 _client_qp, server_qp = yield from connect(
                     env, cluster.volta.nic, cluster.server.nic)
                 server_qps.append(server_qp)
-            return region_mr, pairs, server_qps
+            return units, server_qps
 
-        self.region_mr, self.pairs, self.qps = cluster.run(setup)
+        self.units, self.qps = cluster.run(setup)
 
-    def pull(self, **kwargs):
+    def items(self, chunk_bytes=ENGINE_CHUNK_BYTES):
+        return build_items(self.units, chunk_bytes)
+
+    def pull(self, chunk_bytes=ENGINE_CHUNK_BYTES, **kwargs):
         engine = TransferEngine(self.cluster.env, self.qps, **kwargs)
+        items = self.items(chunk_bytes)
         holder = {}
 
         def scenario(env):
-            holder["bytes"] = yield from engine.pull(
-                self.region_mr, self.pairs, "rig")
+            holder["bytes"] = yield from engine.pull(items, "rig")
 
         self.cluster.run(scenario)
         return engine, holder["bytes"]
@@ -287,11 +301,11 @@ def test_engine_mid_window_wr_failure_returns_every_credit(pipelined):
     nic.fault_hook = hook
     limiter = IngestLimiter(rig.cluster.env, capacity=4)
     engine = TransferEngine(rig.cluster.env, rig.qps, depth=3,
-                            chunk_bytes=kib(32), stream_limit=limiter,
-                            pipelined=pipelined)
+                            stream_limit=limiter, pipelined=pipelined)
+    items = rig.items(kib(32))
 
     def scenario(env):
-        yield from engine.pull(rig.region_mr, rig.pairs, "rig")
+        yield from engine.pull(items, "rig")
 
     with pytest.raises(WorkRequestError, match="injected"):
         rig.cluster.run(scenario)

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.core.consistency import valid_checkpoint
+from repro.core.consistency import checkpoint_at_step, valid_checkpoint
+from repro.core.index import FLAG_DONE
+from repro.dnn.tensor import ModelInstance, TensorSpec
+from repro.errors import ReproError
 from repro.harness.cluster import PaperCluster
+from repro.units import mib, usecs
 
 
 HEAD = "fc.weight"
@@ -109,3 +113,32 @@ def test_incremental_much_faster_for_frozen_backbone():
     # The local PMem copy (~8.4 GB/s interleaved write, no network, no
     # BAR) replaces the 5.8 GB/s pull: a solid constant-factor win.
     assert incremental_ns < full_ns * 0.75
+
+
+def test_interrupted_local_copy_rolls_the_slot_back():
+    """A request timeout during the incremental prefill (before any WR
+    is posted) aborts the checkpoint like any other failure: the target
+    slot rolls back to DONE at its old step and the abort is counted.
+    It must never stay ACTIVE, stranding a restorable step."""
+    specs = [TensorSpec("frozen", (mib(64) // 4,)), TensorSpec("head", (64,))]
+    cluster = PaperCluster(seed=52, ampere_nodes=0)
+
+    def scenario(env):
+        model = ModelInstance.materialize("m", specs, cluster.volta.gpus[0],
+                                          model_seed=52)
+        session = yield from cluster.portus_client().register(model)
+        for step in (1, 2):
+            model.update_step(step)
+            yield from session.checkpoint(step)
+        cluster.daemon.request_timeout_ns = usecs(500)
+        model.update_step(3, only=["head"])
+        with pytest.raises(ReproError):
+            yield from session.checkpoint(3, dirty=["head"])
+
+    cluster.run(scenario)
+    meta = cluster.daemon.model_map["m"].meta
+    flags = meta.read_flags()
+    assert flags.states == [FLAG_DONE, FLAG_DONE]
+    assert flags.steps == [1, 2]
+    assert checkpoint_at_step(meta, 1) == 0
+    assert cluster.obs.metrics.value("daemon.checkpoints_aborted") == 1

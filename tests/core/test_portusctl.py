@@ -4,8 +4,10 @@ import pytest
 
 from repro.core.portusctl import dump, dump_to_file, format_view, main, view
 from repro.dnn.serialize import deserialize_state_dict
+from repro.dnn.tensor import ModelInstance, TensorSpec
 from repro.errors import NoValidCheckpoint
 from repro.harness.cluster import PaperCluster
+from repro.units import kib
 
 
 @pytest.fixture
@@ -43,14 +45,46 @@ def test_format_view_renders_table(checkpointed_cluster):
     assert "MODEL" in text
 
 
-def test_dump_is_loadable_and_bit_exact(checkpointed_cluster):
-    cluster, (session_a, _b) = checkpointed_cluster
-    image = dump(cluster.portus_pool, "alexnet")
+def _dedup_checkpointed_cluster():
+    """A dedup model whose 32 KiB chunks straddle tensor boundaries, with
+    a head-only second checkpoint: the dump must reassemble each tensor
+    from pieces of shared and fresh chunks."""
+    cluster = PaperCluster(seed=13)
+    specs = [TensorSpec("body", (100, 300)), TensorSpec("bias", (77,)),
+             TensorSpec("head", (64, 129))]
+
+    def scenario(env):
+        model = ModelInstance.materialize("dd", specs, cluster.volta.gpus[0],
+                                          model_seed=13)
+        session = yield from cluster.portus_client().register(
+            model, dedup=True, chunk_bytes=kib(32))
+        model.update_step(1)
+        yield from session.checkpoint(1)
+        model.update_step(2, only=["head"])
+        yield from session.checkpoint(2)
+        return model
+
+    model = cluster.run(scenario)
+    spans = cluster.daemon.model_map["dd"].chunk_spans
+    assert any(len(span.pieces) > 1 for span in spans)
+    return cluster, model, {"body": 1, "bias": 1, "head": 2}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "dedup"])
+def test_dump_is_loadable_and_bit_exact(layout, request):
+    if layout == "dedup":
+        cluster, model, steps = _dedup_checkpointed_cluster()
+    else:
+        cluster, (session_a, _b) = request.getfixturevalue(
+            "checkpointed_cluster")
+        model = session_a.model
+        steps = {tensor.name: 10 for tensor in model.tensors}
+    image = dump(cluster.portus_pool, model.name)
     parsed = deserialize_state_dict(image)
-    assert len(parsed) == 16
-    for tensor in session_a.model.tensors:
+    assert len(parsed) == len(model.tensors)
+    for tensor in model.tensors:
         _spec, payload = parsed[tensor.name]
-        assert payload.equals(tensor.expected_content(10))
+        assert payload.equals(tensor.expected_content(steps[tensor.name]))
 
 
 def test_dump_without_checkpoint_fails():

@@ -21,6 +21,7 @@ subsamples it for quick loops.
 
 import os
 import random
+import zlib
 
 import pytest
 
@@ -38,6 +39,13 @@ pytestmark = pytest.mark.chaos
 
 STRIDE = int(os.environ.get("PORTUS_CRASHPOINT_STRIDE", "1"))
 SEED = int(os.environ.get("PORTUS_CRASHPOINT_SEED", "11"))
+TRACE_PATH = os.environ.get("CHAOS_TRACE")
+
+
+def _trace(line):
+    if TRACE_PATH:
+        with open(TRACE_PATH, "a") as fh:
+            fh.write(line + "\n")
 
 SPECS = [TensorSpec("block.weight", (256, 128)),
          TensorSpec("block.bias", (256,)),
@@ -197,16 +205,20 @@ def test_boundary_schedule_is_deterministic():
 
 def test_power_loss_at_every_boundary_recovers():
     schedule = _boundary_schedule()
-    swept = 0
+    outcomes = []
     for index in range(0, len(schedule), STRIDE):
         episode = Episode(crash_at=index)
         episode.run_workload()
         assert episode.recorder.fired is not None, \
             f"boundary {index} never fired (schedule drifted?)"
         assert episode.recorder.fired == schedule[index]
-        episode.recover_and_verify()
-        swept += 1
-    assert swept == len(range(0, len(schedule), STRIDE))
+        restored = episode.recover_and_verify()
+        outcomes.append(f"{schedule[index]}:restored={restored}")
+    assert len(outcomes) == len(range(0, len(schedule), STRIDE))
+    crc = zlib.crc32("\n".join(schedule + outcomes).encode())
+    _trace(f"crash-points seed={SEED} stride={STRIDE} "
+           f"boundaries={len(schedule)} swept={len(outcomes)} "
+           f"crc={crc:08x}")
 
 
 def test_unregister_crash_never_strands_the_table():

@@ -21,6 +21,7 @@ the newest acked checkpoint restores bit-exactly.
 
 import os
 import random
+import zlib
 
 import pytest
 
@@ -37,6 +38,13 @@ pytestmark = pytest.mark.chaos
 
 STRIDE = int(os.environ.get("PORTUS_CRASHPOINT_STRIDE", "1"))
 SEED = int(os.environ.get("PORTUS_CRASHPOINT_SEED", "13"))
+TRACE_PATH = os.environ.get("CHAOS_TRACE")
+
+
+def _trace(line):
+    if TRACE_PATH:
+        with open(TRACE_PATH, "a") as fh:
+            fh.write(line + "\n")
 
 CHUNK = 64 * 1024
 
@@ -204,16 +212,20 @@ def test_dedup_boundary_schedule_is_deterministic():
 
 def test_power_loss_at_every_dedup_boundary_recovers():
     schedule = _boundary_schedule()
-    swept = 0
+    outcomes = []
     for index in range(0, len(schedule), STRIDE):
         episode = DedupEpisode(crash_at=index)
         episode.run_workload()
         assert episode.recorder.fired is not None, \
             f"boundary {index} never fired (schedule drifted?)"
         assert episode.recorder.fired == schedule[index]
-        episode.recover_and_verify()
-        swept += 1
-    assert swept == len(range(0, len(schedule), STRIDE))
+        restored = episode.recover_and_verify()
+        outcomes.append(f"{schedule[index]}:restored={restored}")
+    assert len(outcomes) == len(range(0, len(schedule), STRIDE))
+    crc = zlib.crc32("\n".join(schedule + outcomes).encode())
+    _trace(f"dedup-crash-points seed={SEED} stride={STRIDE} "
+           f"boundaries={len(schedule)} swept={len(outcomes)} "
+           f"crc={crc:08x}")
 
 
 def test_crash_between_apply_and_manifest_leaves_only_leaks():
